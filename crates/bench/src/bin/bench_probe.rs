@@ -3,41 +3,23 @@
 //!
 //! Emits `BENCH_probe.json` with per-phase cold probe wall times, the
 //! sweep totals for both implementations, the measured speedup, and
-//! the dedup hit count. With `--check <baseline.json>` it also gates:
-//! the run fails (exit 1) if the measured fused-vs-reference speedup
-//! regresses more than 25% below the committed baseline's speedup.
-//! The gate compares *ratios*, not absolute wall times, so it is
-//! stable across machines of different speeds.
+//! the dedup hit count. With `--check <baseline.json>` the run fails
+//! (exit 1) if the speedup falls below 75% of the baseline's (see
+//! [`cisa_bench::record::GATES`]). The gate compares *ratios*, not
+//! absolute wall times, so it is stable across machines of different
+//! speeds.
 //!
 //! Usage: `bench_probe [--out <path>] [--check <baseline.json>]`
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
-use cisa_bench::results_dir;
+use cisa_bench::record::{Args, Record};
 use cisa_explore::{par_map, probes_run, threads, DesignSpace, SweepRunner};
 use cisa_isa::FeatureSet;
 use cisa_workloads::{all_phases, PhaseSpec};
 
-/// Fraction of the baseline speedup the measured speedup must retain.
-const GATE_RETENTION: f64 = 0.75;
-
 fn main() {
-    let mut out_path = results_dir().join("BENCH_probe.json");
-    let mut baseline: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = PathBuf::from(args.next().expect("--out needs a path")),
-            "--check" => baseline = Some(PathBuf::from(args.next().expect("--check needs a path"))),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let args = Args::parse("probe", |_, _| Ok(false));
     let phases = all_phases();
     let space = DesignSpace::new();
     let fs = &space.feature_sets;
@@ -96,60 +78,14 @@ fn main() {
     let speedup = reference_s / fused_s.max(1e-9);
     println!("speedup: {speedup:.2}x");
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": 1,");
-    let _ = writeln!(json, "  \"threads\": {n_threads},");
-    let _ = writeln!(json, "  \"phases\": {},", phases.len());
-    let _ = writeln!(json, "  \"feature_sets\": {},", fs.len());
-    let _ = writeln!(json, "  \"reference_sweep_s\": {reference_s:.4},");
-    let _ = writeln!(json, "  \"fused_sweep_s\": {fused_s:.4},");
-    let _ = writeln!(json, "  \"speedup\": {speedup:.4},");
-    let _ = writeln!(json, "  \"probes_run\": {fused_probes},");
-    let _ = writeln!(json, "  \"dedup_hits\": {dedup_hits},");
-    let _ = writeln!(json, "  \"per_phase_cold_ms\": {{");
-    for (i, (name, ms)) in per_phase.iter().enumerate() {
-        let comma = if i + 1 < per_phase.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{name}\": {ms:.3}{comma}");
-    }
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-
-    if let Some(dir) = out_path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_probe.json");
-    println!("wrote {}", out_path.display());
-
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-        let base_speedup = extract_number(&text, "speedup")
-            .unwrap_or_else(|| panic!("no \"speedup\" field in {}", path.display()));
-        let floor = base_speedup * GATE_RETENTION;
-        println!("gate: measured {speedup:.2}x vs baseline {base_speedup:.2}x (floor {floor:.2}x)");
-        if speedup < floor {
-            eprintln!(
-                "FAIL: cold probe speedup regressed >25% vs committed baseline \
-                 ({speedup:.2}x < {floor:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        println!("gate: ok");
-    }
-}
-
-/// Pulls the number following `"key":` out of a flat JSON object. The
-/// workspace has no JSON dependency; the baseline file is machine
-/// written, so a field scan is reliable enough for the gate.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    Record::new(n_threads)
+        .int("phases", phases.len() as u64)
+        .int("feature_sets", fs.len() as u64)
+        .secs("reference_sweep_s", reference_s)
+        .secs("fused_sweep_s", fused_s)
+        .fixed("speedup", speedup, 4)
+        .int("probes_run", fused_probes)
+        .int("dedup_hits", dedup_hits)
+        .map("per_phase_cold_ms", &per_phase, 3)
+        .finish(&args);
 }

@@ -14,25 +14,23 @@
 //! migration-aware policy must beat the static-random baseline on
 //! both fleet EDP and p99 slowdown (hard floors), and with `--check
 //! <baseline.json>` each gain must retain at least half the committed
-//! baseline's (the repository's standard retention pattern, robust to
-//! runner speed since the gains are dimensionless).
+//! baseline's (see [`cisa_bench::record::GATES`]; robust to runner
+//! speed since the gains are dimensionless).
 //!
 //! Usage: `fleet_bench [--chips N] [--threads N] [--seed N]
 //! [--shards N] [--out <path>] [--check <baseline.json>]`
 
-use std::path::PathBuf;
 use std::time::Instant;
 
-use cisa_bench::{results_dir, Harness};
+use cisa_bench::record::{parse_value, Args, Record};
+use cisa_bench::Harness;
 use cisa_fleet::{
     run_policies, AffinityGreedy, FleetConfig, FleetSpec, MigrationAware, MigrationMatrix,
-    SchedulerPolicy, StaticRandom,
+    ReportValue, SchedulerPolicy, StaticRandom,
 };
 use cisa_isa::FeatureSet;
 use cisa_workloads::all_phases;
 
-/// Fraction of the baseline's gains the measured gains must retain.
-const GATE_RETENTION: f64 = 0.5;
 /// Peak-power budgets (W) the chip designs are searched under.
 const CHIP_BUDGETS_W: [f64; 3] = [20.0, 30.0, 40.0];
 
@@ -42,27 +40,16 @@ fn main() {
         n_threads: 1_200_000,
         ..Default::default()
     };
-    let mut out_path = results_dir().join("BENCH_fleet.json");
-    let mut baseline: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} needs a value"))
-        };
-        match a.as_str() {
-            "--chips" => n_chips = val("--chips").parse().expect("--chips: integer"),
-            "--threads" => cfg.n_threads = val("--threads").parse().expect("--threads: integer"),
-            "--seed" => cfg.seed = val("--seed").parse().expect("--seed: integer"),
-            "--shards" => cfg.n_shards = val("--shards").parse().expect("--shards: integer"),
-            "--out" => out_path = PathBuf::from(val("--out")),
-            "--check" => baseline = Some(PathBuf::from(val("--check"))),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+    let args = Args::parse("fleet", |flag, value| {
+        match flag {
+            "--chips" => n_chips = parse_value(flag, value)?,
+            "--threads" => cfg.n_threads = parse_value(flag, value)?,
+            "--seed" => cfg.seed = parse_value(flag, value)?,
+            "--shards" => cfg.n_shards = parse_value(flag, value)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
 
     let h = Harness::load();
     println!(
@@ -126,75 +113,16 @@ fn main() {
         report.policies.len()
     );
 
-    let stat = report.policy("static-random").expect("baseline ran");
-    let aware = report.policy("migration-aware").expect("aware ran");
-    let edp_gain = stat.edp / aware.edp;
-    let p99_gain = stat.p99_slowdown / aware.p99_slowdown;
-
-    // Splice the timing fields into the deterministic report JSON.
-    let mut json = report.to_json();
-    json.truncate(json.rfind('}').expect("json object"));
-    while json.ends_with('\n') {
-        json.pop();
+    let mut record = Record::new(h.runner.threads());
+    for (key, value) in report.fields() {
+        match value {
+            ReportValue::Count(n) => record.int(&key, n),
+            ReportValue::Sci(x) => record.sci(&key, x),
+        };
     }
-    json.push_str(&format!(
-        ",\n  \"search_s\": {search_s:.4},\n  \"matrix_s\": {matrix_s:.4},\n  \"sim_s\": {sim_s:.4}\n}}\n"
-    ));
-
-    if let Some(dir) = out_path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_fleet.json");
-    println!("wrote {}", out_path.display());
-
-    // Hard floors: the migration-aware policy must beat the baseline.
-    let mut edp_floor = 1.0f64;
-    let mut p99_floor = 1.0f64;
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-        let base_edp = extract_number(&text, "migration_aware_edp_gain")
-            .unwrap_or_else(|| panic!("no migration_aware_edp_gain in {}", path.display()));
-        let base_p99 =
-            extract_number(&text, "migration_aware_p99_slowdown_gain").unwrap_or_else(|| {
-                panic!("no migration_aware_p99_slowdown_gain in {}", path.display())
-            });
-        edp_floor = edp_floor.max(base_edp * GATE_RETENTION);
-        p99_floor = p99_floor.max(base_p99 * GATE_RETENTION);
-        println!(
-            "gate: edp gain {edp_gain:.3}x vs baseline {base_edp:.3}x, \
-             p99 gain {p99_gain:.3}x vs baseline {base_p99:.3}x"
-        );
-    } else {
-        println!("gate: edp gain {edp_gain:.3}x, p99 gain {p99_gain:.3}x");
-    }
-    let mut failed = false;
-    if edp_gain < edp_floor {
-        eprintln!("FAIL: migration-aware EDP gain {edp_gain:.3}x below floor {edp_floor:.3}x");
-        failed = true;
-    }
-    if p99_gain < p99_floor {
-        eprintln!("FAIL: migration-aware p99 gain {p99_gain:.3}x below floor {p99_floor:.3}x");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("gate: ok (floors edp {edp_floor:.3}x, p99 {p99_floor:.3}x)");
-}
-
-/// Pulls the number following `"key":` out of a flat JSON object (the
-/// workspace has no JSON dependency; baselines are machine-written).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    record
+        .secs("search_s", search_s)
+        .secs("matrix_s", matrix_s)
+        .secs("sim_s", sim_s)
+        .finish(&args);
 }

@@ -9,64 +9,24 @@
 //! caches for the connection), warm p50/p90/p99, and sustained
 //! throughput, and writes `BENCH_serve.json`.
 //!
-//! With `--check <baseline.json>` the run fails (exit 1) if warm
-//! throughput drops below `1000 req/s` or below 50% of the committed
-//! baseline — a ratio-free absolute floor plus a machine-relative
-//! gate, mirroring `bench_probe`.
+//! The run fails (exit 1) if warm throughput drops below `1000 req/s`
+//! or, with `--check <baseline.json>`, below 50% of the baseline's — an
+//! absolute floor plus a machine-relative gate (see
+//! [`cisa_bench::record::GATES`]).
 //!
 //! Usage: `serve_bench [--out <path>] [--check <baseline.json>]
 //! [--requests N] [--clients C] [--phases P]`
 
-use std::fmt::Write as _;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cisa_bench::results_dir;
-use cisa_explore::{DesignSpace, PerfTable, ShardedProfileStore};
+use cisa_bench::read_response;
+use cisa_bench::record::{parse_value, Args, Record};
+use cisa_explore::{threads, DesignSpace, PerfTable, ShardedProfileStore};
 use cisa_serve::{ServeConfig, Server, ServerState};
 use cisa_workloads::PhaseSpec;
-
-/// Warm throughput floor (req/s) the gate enforces unconditionally.
-const MIN_WARM_RPS: f64 = 1000.0;
-/// Fraction of the baseline throughput the measured run must retain.
-const GATE_RETENTION: f64 = 0.5;
-
-struct Args {
-    out: PathBuf,
-    check: Option<PathBuf>,
-    requests: usize,
-    clients: usize,
-    phases: usize,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        out: results_dir().join("BENCH_serve.json"),
-        check: None,
-        requests: 20_000,
-        clients: 8,
-        phases: 8,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
-        match a.as_str() {
-            "--out" => args.out = PathBuf::from(value("--out")),
-            "--check" => args.check = Some(PathBuf::from(value("--check"))),
-            "--requests" => args.requests = value("--requests").parse().expect("--requests"),
-            "--clients" => args.clients = value("--clients").parse().expect("--clients"),
-            "--phases" => args.phases = value("--phases").parse().expect("--phases"),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 /// One keep-alive connection issuing requests and timing each.
 struct Client {
@@ -93,39 +53,8 @@ impl Client {
         let t = Instant::now();
         self.stream.write_all(head.as_bytes()).expect("write head");
         self.stream.write_all(body.as_bytes()).expect("write body");
-        // Read one full response: head, then Content-Length body bytes.
-        let mut data = Vec::with_capacity(4096);
-        let (head_end, content_length) = loop {
-            let n = self.stream.read(&mut self.buf).expect("read response");
-            assert!(n > 0, "server closed mid-response");
-            data.extend_from_slice(&self.buf[..n]);
-            if let Some(pos) = data.windows(4).position(|w| w == b"\r\n\r\n") {
-                let head = std::str::from_utf8(&data[..pos]).expect("UTF-8 head");
-                let cl = head
-                    .lines()
-                    .find_map(|l| {
-                        l.to_ascii_lowercase()
-                            .strip_prefix("content-length:")
-                            .map(str::trim)
-                            .map(String::from)
-                    })
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .expect("content-length");
-                break (pos + 4, cl);
-            }
-        };
-        while data.len() < head_end + content_length {
-            let n = self.stream.read(&mut self.buf).expect("read body");
-            assert!(n > 0, "server closed mid-body");
-            data.extend_from_slice(&self.buf[..n]);
-        }
-        let latency = t.elapsed().as_nanos() as u64;
-        let status: u16 = std::str::from_utf8(&data[..head_end])
-            .ok()
-            .and_then(|h| h.split(' ').nth(1))
-            .and_then(|s| s.parse().ok())
-            .expect("status line");
-        (latency, status)
+        let status = read_response(&mut self.stream, &mut self.buf);
+        (t.elapsed().as_nanos() as u64, status)
     }
 }
 
@@ -138,11 +67,20 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    let args = parse_args();
+    let (mut requests, mut clients, mut n_phases) = (20_000usize, 8usize, 8usize);
+    let args = Args::parse("serve", |flag, value| {
+        match flag {
+            "--requests" => requests = parse_value(flag, value)?,
+            "--clients" => clients = parse_value(flag, value)?,
+            "--phases" => n_phases = parse_value(flag, value)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
     let space = DesignSpace::new();
     let phases: Vec<PhaseSpec> = cisa_workloads::all_phases()
         .into_iter()
-        .take(args.phases)
+        .take(n_phases)
         .collect();
     println!(
         "serve_bench: building table for {} phases x {} designs",
@@ -179,14 +117,14 @@ fn main() {
 
     // Closed-loop measurement: `clients` threads, keep-alive, each
     // issuing its share of the request mix.
-    let per_client = args.requests / args.clients;
+    let per_client = requests / clients;
     let bodies: Vec<String> = phases
         .iter()
         .map(|s| format!(r#"{{"phase":"{}","top":5}}"#, s.name()))
         .collect();
     let started = Instant::now();
     let mut all_lat: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..args.clients)
+        let handles: Vec<_> = (0..clients)
             .map(|ci| {
                 let bodies = &bodies;
                 scope.spawn(move || {
@@ -232,43 +170,15 @@ fn main() {
         cold_ns as f64 / 1e6,
     );
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": 1,");
-    let _ = writeln!(json, "  \"phases\": {},", phases.len());
-    let _ = writeln!(json, "  \"clients\": {},", args.clients);
-    let _ = writeln!(json, "  \"requests\": {total},");
-    let _ = writeln!(json, "  \"wall_s\": {wall_s:.4},");
-    let _ = writeln!(json, "  \"throughput_rps\": {throughput:.1},");
-    let _ = writeln!(
-        json,
-        "  \"cold_first_request_ms\": {:.3},",
-        cold_ns as f64 / 1e6
-    );
-    let _ = writeln!(json, "  \"warm_p50_us\": {:.1},", p50 as f64 / 1e3);
-    let _ = writeln!(json, "  \"warm_p90_us\": {:.1},", p90 as f64 / 1e3);
-    let _ = writeln!(json, "  \"warm_p99_us\": {:.1}", p99 as f64 / 1e3);
-    let _ = writeln!(json, "}}");
-    std::fs::write(&args.out, &json).expect("write BENCH_serve.json");
-    println!("wrote {}", args.out.display());
-
-    if let Some(baseline_path) = args.check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", baseline_path.display()));
-        let baseline_rps = text
-            .lines()
-            .find_map(|l| l.trim().strip_prefix("\"throughput_rps\":"))
-            .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-            .expect("baseline throughput_rps");
-        let floor = MIN_WARM_RPS.max(baseline_rps * GATE_RETENTION);
-        println!(
-            "gate: measured {throughput:.0} req/s vs floor {floor:.0} \
-             (baseline {baseline_rps:.0} x {GATE_RETENTION})"
-        );
-        if throughput < floor {
-            eprintln!("serve_bench gate FAILED");
-            std::process::exit(1);
-        }
-        println!("serve_bench gate passed");
-    }
+    Record::new(threads())
+        .int("phases", phases.len() as u64)
+        .int("clients", clients as u64)
+        .int("requests", total as u64)
+        .secs("wall_s", wall_s)
+        .fixed("throughput_rps", throughput, 1)
+        .fixed("cold_first_request_ms", cold_ns as f64 / 1e6, 3)
+        .fixed("warm_p50_us", p50 as f64 / 1e3, 1)
+        .fixed("warm_p90_us", p90 as f64 / 1e3, 1)
+        .fixed("warm_p99_us", p99 as f64 / 1e3, 1)
+        .finish(&args);
 }

@@ -30,7 +30,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cisa_bench::{obs_report, results_dir};
+use cisa_bench::{obs_report, read_response, results_dir};
 use cisa_explore::{DesignSpace, PerfTable, ShardedProfileStore, SweepRunner};
 use cisa_workloads::all_phases;
 
@@ -73,38 +73,8 @@ fn serve_smoke(space: DesignSpace, table: &PerfTable) {
         } else {
             // Keep-alive: read this response's framed body before the
             // next request (closed loop, one request in flight).
-            read_one_response(&mut stream);
+            read_response(&mut stream, &mut [0u8; 8192]);
         }
-    }
-}
-
-/// Reads one `Content-Length`-framed response off a keep-alive stream.
-fn read_one_response(stream: &mut std::net::TcpStream) {
-    let mut data = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 8192];
-    let (head_end, content_length) = loop {
-        let n = stream.read(&mut chunk).expect("read");
-        assert!(n > 0, "server closed early");
-        data.extend_from_slice(&chunk[..n]);
-        if let Some(pos) = data.windows(4).position(|w| w == b"\r\n\r\n") {
-            let cl = std::str::from_utf8(&data[..pos])
-                .ok()
-                .and_then(|h| {
-                    h.lines().find_map(|l| {
-                        l.to_ascii_lowercase()
-                            .strip_prefix("content-length:")
-                            .map(|v| v.trim().to_string())
-                    })
-                })
-                .and_then(|v| v.parse::<usize>().ok())
-                .expect("content-length");
-            break (pos + 4, cl);
-        }
-    };
-    while data.len() < head_end + content_length {
-        let n = stream.read(&mut chunk).expect("read body");
-        assert!(n > 0, "server closed mid-body");
-        data.extend_from_slice(&chunk[..n]);
     }
 }
 

@@ -7,7 +7,12 @@
 //!
 //! Run any experiment with `cargo run --release -p cisa-bench --bin
 //! <experiment>`; the first run builds `results/perf_table.bin`.
+//!
+//! The four gated bench binaries (`bench_probe`, `bench_table`,
+//! `serve_bench`, `fleet_bench`) parse their flags, write their JSON
+//! record and apply their gates only through [`record`].
 
+use std::io::Read;
 use std::path::PathBuf;
 
 use cisa_explore::multicore::{Budget, Evaluator, SearchConfig};
@@ -115,11 +120,40 @@ pub const SINGLE_THREAD_POWER_BUDGETS: [(&str, Budget); 4] = [
 ];
 
 pub mod obs_report;
+pub mod record;
 pub mod timing;
 
-/// Prints a markdown-ish table row.
-pub fn row(cells: &[String]) -> String {
-    cells.join(" | ")
+/// Reads one `Content-Length`-framed HTTP response off a keep-alive
+/// stream through `buf`, returning its status code.
+///
+/// # Panics
+///
+/// Panics if the stream fails or closes early, or the response head
+/// is malformed.
+pub fn read_response(stream: &mut impl Read, buf: &mut [u8]) -> u16 {
+    let mut data = Vec::with_capacity(4096);
+    let mut read = |data: &mut Vec<u8>| {
+        let n = stream.read(buf).expect("read response");
+        assert!(n > 0, "server closed mid-response");
+        data.extend_from_slice(&buf[..n]);
+    };
+    let (head_end, status, content_length) = loop {
+        read(&mut data);
+        if let Some(pos) = data.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = std::str::from_utf8(&data[..pos]).expect("UTF-8 head");
+            let status = head.split(' ').nth(1).and_then(|s| s.parse().ok());
+            let length: Option<usize> = head.lines().find_map(|l| {
+                let l = l.to_ascii_lowercase();
+                l.strip_prefix("content-length:")?.trim().parse().ok()
+            });
+            let status = status.expect("status line");
+            break (pos + 4, status, length.expect("content-length"));
+        }
+    };
+    while data.len() < head_end + content_length {
+        read(&mut data);
+    }
+    status
 }
 
 /// Formats a ratio as a percentage delta.

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::interval::PhasePerf;
 use crate::profile::reference_ooo;
-use crate::runner::{par_map, par_map_isolated, threads, SweepReport};
+use crate::runner::{par_map, threads};
 use crate::space::{DesignId, DesignSpace};
 use crate::table::PerfTable;
 
@@ -509,27 +509,6 @@ pub fn search(
     config: &SearchConfig,
 ) -> Option<SearchResult> {
     search_with_seeds(eval, candidates, objective, budget, config, &[])
-}
-
-/// [`search`] under panic isolation with one retry: a crash inside the
-/// search (a poisoned table cell, an injected fault) degrades to a
-/// recorded [`crate::runner::ItemError`] in the report and a `None`
-/// result, instead of unwinding through the caller's sweep. On the
-/// fault-free path the report is clean and the result is bit-identical
-/// to [`search`].
-pub fn search_reported(
-    eval: &Evaluator<'_>,
-    candidates: &[CoreChoice],
-    objective: Objective,
-    budget: Budget,
-    config: &SearchConfig,
-) -> (Option<SearchResult>, SweepReport) {
-    let items = [()];
-    let (out, report) = par_map_isolated(&items, 1, 2, |_, _, _| {
-        Ok(search(eval, candidates, objective, budget, config))
-    });
-    let result = out.into_iter().flatten().flatten().next();
-    (result, report)
 }
 
 /// [`search`] with additional warm-start chips (used by the

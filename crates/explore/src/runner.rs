@@ -298,7 +298,7 @@ where
 ///
 /// Experiment binaries get one from [`SweepRunner::from_env`] (threads
 /// from `CISA_THREADS`, cache under the given results directory) and
-/// pass it to [`crate::table::PerfTable::load_or_build_with`]; library
+/// pass it to [`crate::table::PerfTable::load_or_build_reported`]; library
 /// code that just needs parallelism can use [`SweepRunner::serial`] or
 /// [`par_map`] directly. Robustness tests attach a
 /// [`FaultPlan`] with [`SweepRunner::with_faults`]; without one, the

@@ -109,13 +109,6 @@ pub struct PerfTable {
 }
 
 impl PerfTable {
-    /// Builds the full table (expensive: probes every (phase, feature
-    /// set) pair; cache with [`PerfTable::save`]) on the default
-    /// runner (`CISA_THREADS` workers, no probe cache).
-    pub fn build(space: &DesignSpace) -> Self {
-        Self::build_for_phases(space, &all_phases())
-    }
-
     /// Builds a table for a subset of phases (tests use this) on the
     /// default runner.
     pub fn build_for_phases(space: &DesignSpace, phases: &[PhaseSpec]) -> Self {
@@ -154,27 +147,11 @@ impl PerfTable {
         phases: &[PhaseSpec],
         runner: &SweepRunner,
     ) -> (Self, SweepReport) {
-        let n_ua = space.microarchs.len();
         let n_fs = space.feature_sets.len();
-        let n_phases = phases.len();
-        let bench_names: Vec<&str> = cisa_workloads::all_benchmarks()
-            .iter()
-            .map(|b| b.name)
-            .collect();
-        let phase_benchmarks: Vec<u8> = phases
-            .iter()
-            .map(|p| {
-                bench_names
-                    .iter()
-                    .position(|n| *n == p.benchmark)
-                    .expect("known benchmark") as u8
-            })
-            .collect();
-
         // One task per (phase, feature set) cell, row-major so the
         // merged output lands in table order. Vendor ISAs are derived
         // from their x86-ized probes inside the cell fill.
-        let pairs: Vec<(usize, usize)> = (0..n_phases)
+        let pairs: Vec<(usize, usize)> = (0..phases.len())
             .flat_map(|pi| (0..n_fs).map(move |fi| (pi, fi)))
             .collect();
         let (cells, report) = runner.map_reported(&pairs, |&(pi, fi), index, attempt| {
@@ -184,28 +161,7 @@ impl PerfTable {
             Ok(evaluate_cell(space, fi, &prof))
         });
 
-        let mut entries = vec![PhasePerf::default(); n_phases * n_fs * n_ua];
-        let mut vendor_entries = vec![PhasePerf::default(); n_phases * 3 * n_ua];
-        for (&(pi, fi), cell) in pairs.iter().zip(&cells) {
-            let Some(cell) = cell else {
-                continue; // failed cell: entries stay at the zero default
-            };
-            entries[(pi * n_fs + fi) * n_ua..(pi * n_fs + fi + 1) * n_ua]
-                .copy_from_slice(&cell.perfs);
-            if let Some((vi, vperfs)) = &cell.vendor {
-                vendor_entries[(pi * 3 + vi) * n_ua..(pi * 3 + vi + 1) * n_ua]
-                    .copy_from_slice(vperfs);
-            }
-        }
-        let table = PerfTable {
-            n_ua,
-            n_fs,
-            n_phases,
-            phase_benchmarks,
-            entries,
-            vendor_entries,
-        };
-        (table, report)
+        (Self::assemble(space, phases, cells), report)
     }
 
     /// Builds the table from an already-probed profile grid — row-major
@@ -248,10 +204,33 @@ impl PerfTable {
         grid: &[PhaseProfile],
         batched: bool,
     ) -> Self {
+        let n_fs = space.feature_sets.len();
+        assert_eq!(
+            grid.len(),
+            phases.len() * n_fs,
+            "profile grid shape mismatch"
+        );
+        let cells = grid.iter().enumerate().map(|(i, prof)| {
+            Some(if batched {
+                evaluate_cell(space, i % n_fs, prof)
+            } else {
+                evaluate_cell_reference(space, i % n_fs, prof)
+            })
+        });
+        Self::assemble(space, phases, cells)
+    }
+
+    /// Scatters filled cells, row-major `[phase][fs]`, into a table. A
+    /// `None` cell (a failed probe) leaves its entries at the zero
+    /// default.
+    fn assemble(
+        space: &DesignSpace,
+        phases: &[PhaseSpec],
+        cells: impl IntoIterator<Item = Option<Cell>>,
+    ) -> Self {
         let n_ua = space.microarchs.len();
         let n_fs = space.feature_sets.len();
         let n_phases = phases.len();
-        assert_eq!(grid.len(), n_phases * n_fs, "profile grid shape mismatch");
         let bench_names: Vec<&str> = cisa_workloads::all_benchmarks()
             .iter()
             .map(|b| b.name)
@@ -267,20 +246,14 @@ impl PerfTable {
             .collect();
         let mut entries = vec![PhasePerf::default(); n_phases * n_fs * n_ua];
         let mut vendor_entries = vec![PhasePerf::default(); n_phases * 3 * n_ua];
-        for pi in 0..n_phases {
-            for fi in 0..n_fs {
-                let prof = &grid[pi * n_fs + fi];
-                let cell = if batched {
-                    evaluate_cell(space, fi, prof)
-                } else {
-                    evaluate_cell_reference(space, fi, prof)
-                };
-                entries[(pi * n_fs + fi) * n_ua..(pi * n_fs + fi + 1) * n_ua]
-                    .copy_from_slice(&cell.perfs);
-                if let Some((vi, vperfs)) = &cell.vendor {
-                    vendor_entries[(pi * 3 + vi) * n_ua..(pi * 3 + vi + 1) * n_ua]
-                        .copy_from_slice(vperfs);
-                }
+        for (i, cell) in cells.into_iter().enumerate() {
+            let Some(cell) = cell else {
+                continue;
+            };
+            entries[i * n_ua..(i + 1) * n_ua].copy_from_slice(&cell.perfs);
+            if let Some((vi, vperfs)) = &cell.vendor {
+                let row = (i / n_fs) * 3 + vi;
+                vendor_entries[row * n_ua..(row + 1) * n_ua].copy_from_slice(vperfs);
             }
         }
         PerfTable {
@@ -382,22 +355,11 @@ impl PerfTable {
         })
     }
 
-    /// Loads from `path` if present and matching; otherwise builds and
-    /// saves (on the default runner).
-    pub fn load_or_build(space: &DesignSpace, path: &Path) -> Self {
-        Self::load_or_build_with(space, path, &SweepRunner::default())
-    }
-
-    /// [`PerfTable::load_or_build`] with an explicit [`SweepRunner`],
-    /// so a cold build probes through the runner's cache and thread
-    /// pool. This is the entry point the experiment harness uses.
-    pub fn load_or_build_with(space: &DesignSpace, path: &Path, runner: &SweepRunner) -> Self {
-        Self::load_or_build_reported(space, path, runner).0
-    }
-
-    /// [`PerfTable::load_or_build_with`] plus the build's fault report:
-    /// `None` when the table came from disk, `Some(report)` when it
-    /// was built. A table with failed cells is **not** persisted — a
+    /// Loads from `path` if present and matching the design space;
+    /// otherwise builds through `runner` (its cache and thread pool)
+    /// and saves. This is the entry point the experiment harness uses.
+    /// Also returns the build's fault report: `None` when the table
+    /// came from disk, `Some(report)` when it was built. A table with failed cells is **not** persisted — a
     /// later run rebuilds rather than serving zeros from disk forever.
     pub fn load_or_build_reported(
         space: &DesignSpace,

@@ -57,6 +57,6 @@ pub mod workload;
 pub use chips::{ChipDesign, CoreDesign, FleetSpec};
 pub use migration::{class_latency_cycles, MigrationMatrix};
 pub use policy::{AffinityGreedy, MigrationAware, SchedulerPolicy, StaticRandom};
-pub use report::{FleetReport, PolicyReport};
+pub use report::{FleetReport, PolicyReport, ReportValue};
 pub use sim::{run_policies, simulate_fleet, simulate_shard, FleetConfig, ShardStats};
 pub use workload::{ArrivalParams, ArrivalStream, ThreadSpec, Workload};

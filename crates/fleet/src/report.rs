@@ -8,7 +8,7 @@
 //! reproducible byte-for-byte and `fleet_bench --check` can gate on
 //! its fields.
 
-use std::fmt::Write as _;
+use std::fmt;
 
 /// Metrics of one full fleet run under one policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,87 +80,84 @@ impl FleetReport {
         self.policies.iter().find(|p| p.policy == name)
     }
 
-    /// Renders the report as flat JSON with stable field order and
-    /// formatting. Per-policy fields are prefixed with the policy name
-    /// (`static_random_edp`), and the headline gains of every policy
-    /// over the first (baseline) policy are included
-    /// (`migration_aware_edp_gain`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let num = |s: &mut String, k: &str, v: f64| {
-            let _ = writeln!(s, "  \"{k}\": {v:.6e},");
-        };
-        let int = |s: &mut String, k: &str, v: u64| {
-            let _ = writeln!(s, "  \"{k}\": {v},");
-        };
-        int(&mut s, "n_chips", self.n_chips);
-        int(&mut s, "n_threads", self.n_threads);
-        int(&mut s, "n_shards", self.n_shards);
-        int(&mut s, "seed", self.seed);
-        int(&mut s, "matrix_native", self.matrix_classes[0]);
-        int(&mut s, "matrix_transforming", self.matrix_classes[1]);
-        int(&mut s, "matrix_state_transforming", self.matrix_classes[2]);
+    /// The report's flat fields in their stable order. Per-policy
+    /// fields are prefixed with the policy name (`static_random_edp`),
+    /// and the headline gains of every policy over the first (baseline)
+    /// policy are included (`migration_aware_edp_gain`).
+    pub fn fields(&self) -> Vec<(String, ReportValue)> {
+        use ReportValue::{Count, Sci};
+        let mut f: Vec<(String, ReportValue)> = vec![
+            ("n_chips".into(), Count(self.n_chips)),
+            ("n_threads".into(), Count(self.n_threads)),
+            ("n_shards".into(), Count(self.n_shards)),
+            ("seed".into(), Count(self.seed)),
+            ("matrix_native".into(), Count(self.matrix_classes[0])),
+            ("matrix_transforming".into(), Count(self.matrix_classes[1])),
+            (
+                "matrix_state_transforming".into(),
+                Count(self.matrix_classes[2]),
+            ),
+        ];
         for p in &self.policies {
             let k = p.policy.replace('-', "_");
-            int(&mut s, &format!("{k}_completed"), p.completed);
-            num(
-                &mut s,
-                &format!("{k}_throughput_units_per_s"),
-                p.throughput_units_per_s,
-            );
-            num(
-                &mut s,
-                &format!("{k}_energy_per_unit_j"),
-                p.energy_per_unit_j,
-            );
-            num(&mut s, &format!("{k}_mean_response_s"), p.mean_response_s);
-            num(&mut s, &format!("{k}_edp"), p.edp);
-            num(&mut s, &format!("{k}_p50_slowdown"), p.p50_slowdown);
-            num(&mut s, &format!("{k}_p99_slowdown"), p.p99_slowdown);
-            num(&mut s, &format!("{k}_max_slowdown"), p.max_slowdown);
-            int(&mut s, &format!("{k}_migrations"), p.migrations_total);
-            int(&mut s, &format!("{k}_migrations_native"), p.migrations[0]);
-            int(
-                &mut s,
-                &format!("{k}_migrations_transforming"),
-                p.migrations[1],
-            );
-            int(
-                &mut s,
-                &format!("{k}_migrations_state_transforming"),
-                p.migrations[2],
-            );
-            int(&mut s, &format!("{k}_cap_blocked"), p.cap_blocked);
-            num(
-                &mut s,
-                &format!("{k}_max_cap_utilization"),
-                p.max_cap_utilization,
-            );
+            let mut push = |name: &str, v: ReportValue| f.push((format!("{k}_{name}"), v));
+            push("completed", Count(p.completed));
+            push("throughput_units_per_s", Sci(p.throughput_units_per_s));
+            push("energy_per_unit_j", Sci(p.energy_per_unit_j));
+            push("mean_response_s", Sci(p.mean_response_s));
+            push("edp", Sci(p.edp));
+            push("p50_slowdown", Sci(p.p50_slowdown));
+            push("p99_slowdown", Sci(p.p99_slowdown));
+            push("max_slowdown", Sci(p.max_slowdown));
+            push("migrations", Count(p.migrations_total));
+            push("migrations_native", Count(p.migrations[0]));
+            push("migrations_transforming", Count(p.migrations[1]));
+            push("migrations_state_transforming", Count(p.migrations[2]));
+            push("cap_blocked", Count(p.cap_blocked));
+            push("max_cap_utilization", Sci(p.max_cap_utilization));
         }
         if let Some(base) = self.policies.first() {
             for p in self.policies.iter().skip(1) {
                 let k = p.policy.replace('-', "_");
-                num(&mut s, &format!("{k}_edp_gain"), base.edp / p.edp);
-                num(
-                    &mut s,
-                    &format!("{k}_p99_slowdown_gain"),
-                    base.p99_slowdown / p.p99_slowdown,
-                );
-                num(
-                    &mut s,
-                    &format!("{k}_throughput_gain"),
+                let mut push = |name: &str, v: f64| f.push((format!("{k}_{name}"), Sci(v)));
+                push("edp_gain", base.edp / p.edp);
+                push("p99_slowdown_gain", base.p99_slowdown / p.p99_slowdown);
+                push(
+                    "throughput_gain",
                     p.throughput_units_per_s / base.throughput_units_per_s,
                 );
             }
         }
-        // Trailing-comma cleanup: replace the final ",\n" with "\n".
-        if s.ends_with(",\n") {
-            s.truncate(s.len() - 2);
-            s.push('\n');
+        f
+    }
+
+    /// Renders [`FleetReport::fields`] as flat JSON, one field per
+    /// line, with fixed float formatting.
+    pub fn to_json(&self) -> String {
+        let lines: Vec<String> = self
+            .fields()
+            .iter()
+            .map(|(k, v)| format!("  \"{k}\": {v}"))
+            .collect();
+        format!("{{\n{}\n}}\n", lines.join(",\n"))
+    }
+}
+
+/// One value of the flat report.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ReportValue {
+    /// An exact count, rendered as a plain integer.
+    Count(u64),
+    /// A measurement, rendered in `{:.6e}` scientific notation.
+    Sci(f64),
+}
+
+impl fmt::Display for ReportValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReportValue::Count(n) => write!(f, "{n}"),
+            ReportValue::Sci(x) => write!(f, "{x:.6e}"),
         }
-        s.push('}');
-        s.push('\n');
-        s
     }
 }
 
