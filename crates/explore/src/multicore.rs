@@ -296,7 +296,8 @@ impl<'a> Evaluator<'a> {
                         let perf = self.perf(p, &cores[perm[t]]);
                         let idle_cycles = step_time - perf.cycles_per_unit;
                         let (_, peak) = self.budget(&cores[perm[t]]);
-                        step_energy += 0.3 * peak * idle_cycles / cisa_power::CLOCK_HZ;
+                        step_energy += cisa_power::IDLE_POWER_FRACTION * peak * idle_cycles
+                            / cisa_power::CLOCK_HZ;
                     }
                     let cost = step_energy * step_time;
                     if cost < best {

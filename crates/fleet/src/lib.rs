@@ -23,17 +23,19 @@
 //! - [`migration`] — migration pricing: a dense per-phase class tensor
 //!   built from [`cisa_migrate::classify_migration_with`] over
 //!   statically-proven [`cisa_migrate::MigrationPointMap`]s (the
-//!   `cisa-analyze` pipeline), and the three Mavrogeorgis-grounded
+//!   `cisa-analyze` pipeline), the three Mavrogeorgis-grounded
 //!   latency constants for native / transforming / state-transforming
-//!   migrations.
-//! - [`policy`] — the [`policy::SchedulerPolicy`] trait and the three
-//!   shipped policies: static-random (baseline), affinity-greedy, and
-//!   migration-aware (segment EDP inclusive of amortized migration
-//!   cost).
+//!   migrations, and the energy a migration draws.
+//! - [`policy`] — the [`policy::SchedulerPolicy`] trait, which prices
+//!   one idle, power-feasible core for a thread, and the three shipped
+//!   policies: static-random (baseline), affinity-greedy, and
+//!   migration-aware (remaining-work EDP inclusive of amortized
+//!   migration cost).
 //! - [`sim`] — the discrete-event engine: the fleet is sharded into
 //!   independent clusters, each simulated serially; shards fan out on
 //!   a [`cisa_explore::SweepRunner`], so a full fleet run is
-//!   **bit-identical at any `CISA_THREADS`**.
+//!   **bit-identical at any `CISA_THREADS`**. The engine owns the
+//!   placement search: it takes the cheapest core the policy priced.
 //! - [`report`] — per-policy throughput / EDP / tail-slowdown metrics
 //!   and the deterministic JSON report `fleet_bench` writes to
 //!   `BENCH_fleet.json`.

@@ -1,5 +1,6 @@
-//! Migration pricing: the per-phase cost-class tensor and the
-//! Mavrogeorgis-grounded latency constants.
+//! Migration pricing: the per-phase cost-class tensor, the
+//! Mavrogeorgis-grounded latency constants, and the energy a migration
+//! draws.
 //!
 //! The scheduler prices a prospective migration in two steps. First it
 //! looks up the migration's **cost class** — native, transforming, or
@@ -27,6 +28,7 @@ use cisa_compiler::{compile, CompileOptions};
 use cisa_explore::SweepRunner;
 use cisa_isa::FeatureSet;
 use cisa_migrate::{classify_migration, classify_migration_with, MigrationClass};
+use cisa_power::{CLOCK_HZ, IDLE_POWER_FRACTION};
 use cisa_workloads::{generate, PhaseSpec};
 
 use crate::workload::Workload;
@@ -51,10 +53,12 @@ pub const TRANSFORMING_MIGRATION_CYCLES: f64 = 240_000.0;
 /// classes, and the ratio here (375x native) preserves that gap.
 pub const STATE_TRANSFORMING_MIGRATION_CYCLES: f64 = 9_000_000.0;
 
-/// Fraction of the destination core's peak power drawn while a
-/// migration is in flight (state copy and transformation run at
-/// near-idle power; matches the evaluator's idle fraction).
-pub const MIGRATION_POWER_FRACTION: f64 = 0.3;
+/// Energy (J) of a migration that keeps a core of peak power `peak_w`
+/// busy for `cycles`: state copy and transformation run at near-idle
+/// power, [`IDLE_POWER_FRACTION`] of the destination core's peak.
+pub fn migration_energy_j(cycles: f64, peak_w: f64) -> f64 {
+    cycles / CLOCK_HZ * IDLE_POWER_FRACTION * peak_w
+}
 
 /// Latency in cycles of one migration of the given class.
 pub fn class_latency_cycles(class: MigrationClass) -> f64 {

@@ -1,32 +1,35 @@
-//! Scheduler policies: how a thread picks (or is pinned to) a core.
+//! Scheduler policies: what a thread pays to run on a core.
 //!
-//! The event loop builds a [`Candidate`] per idle, power-feasible core
-//! whenever a thread needs a core, and asks the policy to choose. The
-//! three shipped policies bracket the design space the paper's
-//! Figures 13/15 explore, at fleet scale:
+//! A policy prices one core at a time. Whenever a thread needs a core,
+//! the engine builds a [`Candidate`] for each idle core whose chip has
+//! cap headroom for it, asks the policy for its
+//! [`cost`](SchedulerPolicy::cost), and places the thread on the
+//! cheapest one (ties go to the lowest core index). A thread bound at
+//! arrival is only ever offered its bound core. The three shipped
+//! policies bracket the design space the paper's Figures 13/15
+//! explore, at fleet scale:
 //!
 //! - [`StaticRandom`] — the no-affinity baseline: each thread is
 //!   pinned at arrival to one uniformly-random core (among cores that
 //!   could ever run it under the chip cap) and never migrates.
-//! - [`AffinityGreedy`] — pick the fastest feasible core for the
-//!   thread's fingerprint, every segment; migration costs are ignored.
-//! - [`MigrationAware`] — pick the core minimizing the remaining
-//!   work's energy-delay product *inclusive* of the migration's class
-//!   latency and energy, so a migration happens exactly when its
-//!   amortized EDP delta is negative.
+//! - [`AffinityGreedy`] — the fastest feasible core for the thread's
+//!   fingerprint, every segment; migration costs are ignored.
+//! - [`MigrationAware`] — the core minimizing the remaining work's
+//!   energy-delay product *inclusive* of the migration's class latency
+//!   and energy, so a migration happens exactly when its amortized EDP
+//!   delta is negative.
 //!
-//! Policies are pure functions of the candidate list (plus, for the
-//! static baseline, a seeded per-thread RNG), so every policy keeps
-//! the simulation deterministic.
+//! Costs are pure functions of the candidate (plus, for the static
+//! baseline, a seeded per-thread RNG at arrival), so every policy
+//! keeps the simulation deterministic.
 
 use cisa_migrate::MigrationClass;
-use cisa_power::CLOCK_HZ;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::migration::MIGRATION_POWER_FRACTION;
+use crate::migration::migration_energy_j;
 
-/// One placement option: an idle, power-feasible core.
+/// One placement option: an idle core with cap headroom for it.
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate {
     /// Global core index.
@@ -46,19 +49,8 @@ pub struct Candidate {
     pub mig_cycles: f64,
 }
 
-/// Per-decision context the policy sees alongside the candidates.
-#[derive(Debug, Clone, Copy)]
-pub struct PlacementCtx {
-    /// Work units left across all remaining segments (including the
-    /// one about to run).
-    pub remaining_work: f64,
-    /// Core the thread is statically bound to, if its policy bound one
-    /// at arrival.
-    pub bound_core: Option<u32>,
-}
-
-/// A scheduling policy: optional arrival-time binding plus the
-/// per-segment core choice.
+/// A scheduling policy: optional arrival-time binding plus the price
+/// of one core.
 pub trait SchedulerPolicy: Sync {
     /// Stable policy name used in reports and JSON.
     fn name(&self) -> &'static str;
@@ -71,9 +63,10 @@ pub trait SchedulerPolicy: Sync {
         None
     }
 
-    /// Chooses among the idle feasible cores, or `None` to keep the
-    /// thread queued until the next scheduling opportunity.
-    fn choose(&self, ctx: &PlacementCtx, candidates: &[Candidate]) -> Option<usize>;
+    /// The cost of running the thread's `remaining_work` units (all
+    /// remaining segments, including the one about to run) on `c`.
+    /// The engine takes the cheapest candidate.
+    fn cost(&self, remaining_work: f64, c: &Candidate) -> f64;
 }
 
 /// The no-affinity baseline: pin each arriving thread to one
@@ -93,9 +86,9 @@ impl SchedulerPolicy for StaticRandom {
         Some(eligible[rng.gen_range(0..eligible.len())])
     }
 
-    fn choose(&self, ctx: &PlacementCtx, candidates: &[Candidate]) -> Option<usize> {
-        let bound = ctx.bound_core?;
-        candidates.iter().position(|c| c.core == bound)
+    /// Every thread is bound, so its bound core is the only candidate.
+    fn cost(&self, _remaining_work: f64, _c: &Candidate) -> f64 {
+        0.0
     }
 }
 
@@ -109,49 +102,27 @@ impl SchedulerPolicy for AffinityGreedy {
         "affinity-greedy"
     }
 
-    fn choose(&self, _ctx: &PlacementCtx, candidates: &[Candidate]) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, c) in candidates.iter().enumerate() {
-            if best.is_none_or(|(_, b)| c.cpu < b) {
-                best = Some((i, c.cpu));
-            }
-        }
-        best.map(|(i, _)| i)
+    fn cost(&self, _remaining_work: f64, c: &Candidate) -> f64 {
+        c.cpu
     }
 }
 
-/// Migration-aware EDP: choose the candidate minimizing the remaining
-/// work's energy x delay inclusive of the migration's latency and
-/// energy. A migration is taken exactly when its EDP gain over
-/// staying put survives the amortized migration cost.
+/// Migration-aware EDP: the remaining work's energy x delay inclusive
+/// of the migration's latency and energy. A migration is taken exactly
+/// when its EDP gain over staying put survives the amortized migration
+/// cost.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MigrationAware;
-
-impl MigrationAware {
-    /// The scoring function: remaining-work EDP inclusive of the
-    /// migration cost. Exposed for FLEET.md's worked example.
-    pub fn score(ctx: &PlacementCtx, c: &Candidate) -> f64 {
-        let delay = ctx.remaining_work * c.cpu + c.mig_cycles;
-        let mig_energy = c.mig_cycles / CLOCK_HZ * MIGRATION_POWER_FRACTION * c.peak_w;
-        let energy = ctx.remaining_work * c.epu + mig_energy;
-        energy * delay
-    }
-}
 
 impl SchedulerPolicy for MigrationAware {
     fn name(&self) -> &'static str {
         "migration-aware"
     }
 
-    fn choose(&self, ctx: &PlacementCtx, candidates: &[Candidate]) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, c) in candidates.iter().enumerate() {
-            let s = Self::score(ctx, c);
-            if best.is_none_or(|(_, b)| s < b) {
-                best = Some((i, s));
-            }
-        }
-        best.map(|(i, _)| i)
+    fn cost(&self, remaining_work: f64, c: &Candidate) -> f64 {
+        let delay = remaining_work * c.cpu + c.mig_cycles;
+        let energy = remaining_work * c.epu + migration_energy_j(c.mig_cycles, c.peak_w);
+        energy * delay
     }
 }
 
@@ -173,56 +144,28 @@ mod tests {
     }
 
     #[test]
-    fn static_random_only_takes_its_bound_core() {
-        let p = StaticRandom;
+    fn static_random_binds_to_an_eligible_core() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let bound = p.bind_on_arrival(&mut rng, &[3, 5, 9]).expect("bound");
-        assert!([3, 5, 9].contains(&bound));
-        let ctx = PlacementCtx {
-            remaining_work: 10.0,
-            bound_core: Some(5),
-        };
-        let cands = [cand(4, 1.0, 0.0), cand(5, 2.0, 0.0)];
-        assert_eq!(p.choose(&ctx, &cands), Some(1));
-        let cands = [cand(4, 1.0, 0.0)];
-        assert_eq!(p.choose(&ctx, &cands), None, "waits for its core");
+        let bound = StaticRandom.bind_on_arrival(&mut rng, &[3, 5, 9]);
+        assert!(bound.is_some_and(|b| [3, 5, 9].contains(&b)));
+        assert_eq!(StaticRandom.bind_on_arrival(&mut rng, &[]), None);
+        assert_eq!(AffinityGreedy.bind_on_arrival(&mut rng, &[3]), None);
     }
 
     #[test]
-    fn affinity_greedy_picks_fastest_ignoring_migration() {
+    fn affinity_greedy_prices_speed_ignoring_migration() {
         let p = AffinityGreedy;
-        let ctx = PlacementCtx {
-            remaining_work: 10.0,
-            bound_core: None,
-        };
-        let cands = [cand(0, 2.0, 0.0), cand(1, 1.0, 1e9)];
-        assert_eq!(p.choose(&ctx, &cands), Some(1), "migration cost ignored");
+        assert!(p.cost(10.0, &cand(1, 1.0, 1e9)) < p.cost(10.0, &cand(0, 2.0, 0.0)));
     }
 
     #[test]
     fn migration_aware_declines_unamortizable_migrations() {
         let p = MigrationAware;
-        let ctx = PlacementCtx {
-            remaining_work: 100.0,
-            bound_core: None,
-        };
         // Staying costs 100*2.0 = 200 cycles; moving to the 1.5x-faster
         // core costs 100*1.33 + 1e9 — never worth it.
-        let cands = [cand(0, 2.0, 0.0), cand(1, 1.33, 1e9)];
-        assert_eq!(p.choose(&ctx, &cands), Some(0));
+        let stay = p.cost(100.0, &cand(0, 2.0, 0.0));
+        assert!(stay < p.cost(100.0, &cand(1, 1.33, 1e9)));
         // With a cheap migration the faster core wins.
-        let cands = [cand(0, 2.0, 0.0), cand(1, 1.33, 10.0)];
-        assert_eq!(p.choose(&ctx, &cands), Some(1));
-    }
-
-    #[test]
-    fn ties_break_to_the_first_candidate() {
-        let p = AffinityGreedy;
-        let ctx = PlacementCtx {
-            remaining_work: 1.0,
-            bound_core: None,
-        };
-        let cands = [cand(7, 1.0, 0.0), cand(8, 1.0, 0.0)];
-        assert_eq!(p.choose(&ctx, &cands), Some(0));
+        assert!(p.cost(100.0, &cand(1, 1.33, 10.0)) < stay);
     }
 }

@@ -20,40 +20,36 @@
 //! on a core requires `active_mw + core.peak_mw <= cap_mw`; the
 //! chip's peak observed `active_mw` is recorded so tests can assert
 //! no chip ever exceeds its cap at any event timestamp. Idle cores
-//! burn [`IDLE_POWER_FRACTION`] of their peak (the same constant the
-//! multicore evaluator charges for early-finishing cores).
+//! burn [`cisa_power::IDLE_POWER_FRACTION`] of their peak (the same
+//! constant the multicore evaluator charges for early-finishing cores).
 //!
 //! # Scheduling
 //!
-//! At every arrival and segment completion the shard runs a dispatch
-//! pass: for up to [`FleetConfig::dispatch_window`] queued threads
-//! (FIFO order), it builds one [`Candidate`] per idle power-feasible
-//! core and asks the policy to choose. Each successful placement
-//! restarts the pass (power headroom changed); the pass ends when no
-//! queued thread in the window can be placed.
+//! The shard keeps its idle cores in a list sorted by core index,
+//! updated when a segment starts or completes. At every arrival and
+//! segment completion it runs a dispatch pass over up to
+//! [`FleetConfig::dispatch_window`] queued threads (FIFO order). For
+//! each thread it walks the idle list once: every core whose chip
+//! lacks headroom for it counts one `cap_blocked`; a thread bound at
+//! arrival skips every other core; each remaining core becomes a
+//! [`Candidate`] priced by [`SchedulerPolicy::cost`], and the cheapest
+//! wins (ties go to the lowest core index). Each placement restarts
+//! the pass (power headroom changed); the pass ends when no queued
+//! thread in the window can be placed.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use cisa_explore::SweepRunner;
-use cisa_power::CLOCK_HZ;
+use cisa_power::{CLOCK_HZ, IDLE_POWER_FRACTION};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::chips::FleetSpec;
-use crate::migration::{class_latency_cycles, MigrationMatrix, MIGRATION_POWER_FRACTION};
-use crate::policy::{Candidate, PlacementCtx, SchedulerPolicy};
+use crate::migration::{class_latency_cycles, migration_energy_j, MigrationMatrix};
+use crate::policy::{Candidate, SchedulerPolicy};
 use crate::report::{percentile, FleetReport, PolicyReport};
 use crate::workload::{ArrivalParams, ArrivalStream, Workload};
-
-/// Fraction of peak power an idle core draws (matches the multicore
-/// evaluator's idle charge).
-pub const IDLE_POWER_FRACTION: f64 = 0.3;
-
-/// Headroom slack on the integer-milliwatt cap comparison (none —
-/// integer arithmetic needs no epsilon; kept as a named constant so
-/// the accounting rule is explicit).
-const CAP_SLACK_MW: u64 = 0;
 
 /// Fleet-run configuration (everything except the hardware roster,
 /// which lives in [`FleetSpec`], and the policy).
@@ -206,12 +202,10 @@ struct Thr {
     arrival: f64,
     ready_since: f64,
     seg_idx: u32,
-    cur_work: f64,
     executed: f64,
     bound: Option<u32>,
     last_core: Option<u32>,
     compiled_fs: u16,
-    placed: bool,
 }
 
 /// Per-core simulation state.
@@ -220,7 +214,6 @@ struct CoreSt {
     design: u16,
     chip: u32,
     peak_mw: u64,
-    busy: Option<u32>,
     busy_cycles: f64,
 }
 
@@ -279,8 +272,8 @@ struct Shard<'a> {
     heap: BinaryHeap<Event>,
     seq: u64,
     now: f64,
+    /// Cores with no thread, in ascending index order.
     idle_cores: Vec<u32>,
-    cands: Vec<Candidate>,
     stats: ShardStats,
 }
 
@@ -316,11 +309,11 @@ impl<'a> Shard<'a> {
                     design: c,
                     chip: chip_idx,
                     peak_mw: mw(spec.core_designs[c as usize].peak_w),
-                    busy: None,
                     busy_cycles: 0.0,
                 });
             }
         }
+        let idle_cores = (0..cores.len() as u32).collect();
         Shard {
             spec,
             mm,
@@ -333,8 +326,7 @@ impl<'a> Shard<'a> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: 0.0,
-            idle_cores: Vec::new(),
-            cands: Vec::new(),
+            idle_cores,
             stats: ShardStats {
                 arrivals: 0,
                 completed: 0,
@@ -367,46 +359,37 @@ impl<'a> Shard<'a> {
     /// One dispatch pass: place queued threads until no head-window
     /// thread can be placed.
     fn dispatch(&mut self) {
-        loop {
-            self.idle_cores.clear();
-            for (i, c) in self.cores.iter().enumerate() {
-                if c.busy.is_none() {
-                    self.idle_cores.push(i as u32);
-                }
-            }
-            if self.idle_cores.is_empty() || self.ready.is_empty() {
-                return;
-            }
+        while !self.idle_cores.is_empty() {
             let window = self.cfg.dispatch_window.min(self.ready.len());
-            let mut placed: Option<(usize, usize)> = None;
-            for qi in 0..window {
+            let placed = (0..window).find_map(|qi| {
                 let tid = self.ready[qi];
-                if let Some(ci) = self.consider(tid) {
-                    placed = Some((qi, ci));
-                    break;
-                }
-            }
-            let Some((qi, ci)) = placed else { return };
+                self.consider(tid).map(|cand| (qi, cand))
+            });
+            let Some((qi, cand)) = placed else { return };
             let tid = self.ready.remove(qi).expect("index in range");
-            let cand = self.cands[ci];
             self.start_segment(tid, &cand);
         }
     }
 
-    /// Builds the candidate list for a thread (into `self.cands`) and
-    /// asks the policy. Returns the chosen candidate index.
-    fn consider(&mut self, tid: u32) -> Option<usize> {
+    /// The cheapest idle core the thread may take now, or `None` to
+    /// keep it queued. Every idle core without cap headroom counts one
+    /// `cap_blocked`, whether or not the thread could have taken it.
+    fn consider(&mut self, tid: u32) -> Option<Candidate> {
         let thr = &self.threads[tid as usize];
-        self.cands.clear();
+        let remaining: f64 = thr.segments[thr.seg_idx as usize..].iter().sum();
+        let mut best: Option<(Candidate, f64)> = None;
         for &core_idx in &self.idle_cores {
             let core = &self.cores[core_idx as usize];
             let chip = &self.chips[core.chip as usize];
-            if chip.active_mw + core.peak_mw > chip.cap_mw + CAP_SLACK_MW {
+            if chip.active_mw + core.peak_mw > chip.cap_mw {
                 self.stats.cap_blocked += 1;
                 continue;
             }
+            if thr.bound.is_some_and(|b| b != core_idx) {
+                continue;
+            }
             let design = &self.spec.core_designs[core.design as usize];
-            let (mig_class, mig_cycles) = if !thr.placed || thr.last_core == Some(core_idx) {
+            let (mig_class, mig_cycles) = if thr.last_core.is_none_or(|c| c == core_idx) {
                 (None, 0.0)
             } else {
                 let class = self
@@ -414,7 +397,7 @@ impl<'a> Shard<'a> {
                     .class_for(&thr.workload, thr.compiled_fs, design.id.fs);
                 (Some(class), class_latency_cycles(class))
             };
-            self.cands.push(Candidate {
+            let cand = Candidate {
                 core: core_idx,
                 design: core.design,
                 peak_w: design.peak_w,
@@ -422,24 +405,19 @@ impl<'a> Shard<'a> {
                 epu: design.epu(&thr.workload),
                 mig_class,
                 mig_cycles,
-            });
+            };
+            let cost = self.policy.cost(remaining, &cand);
+            if best.is_none_or(|(_, b)| cost < b) {
+                best = Some((cand, cost));
+            }
         }
-        if self.cands.is_empty() {
-            return None;
-        }
-        let remaining: f64 = thr.segments[thr.seg_idx as usize..].iter().sum();
-        let ctx = PlacementCtx {
-            remaining_work: remaining,
-            bound_core: thr.bound,
-        };
-        self.policy.choose(&ctx, &self.cands)
+        best.map(|(cand, _)| cand)
     }
 
     /// Starts the thread's next segment on the chosen core.
     fn start_segment(&mut self, tid: u32, cand: &Candidate) {
         let thr = &mut self.threads[tid as usize];
         let work = thr.segments[thr.seg_idx as usize];
-        thr.cur_work = work;
         let design = &self.spec.core_designs[cand.design as usize];
         if let Some(class) = cand.mig_class {
             self.stats.migrations[class.index()] += 1;
@@ -450,9 +428,8 @@ impl<'a> Shard<'a> {
             if class != cisa_migrate::MigrationClass::Native {
                 thr.compiled_fs = design.id.fs;
             }
-        } else if !thr.placed {
+        } else if thr.last_core.is_none() {
             thr.compiled_fs = design.id.fs;
-            thr.placed = true;
         }
         thr.last_core = Some(cand.core);
         let wait = self.now - thr.ready_since;
@@ -461,10 +438,11 @@ impl<'a> Shard<'a> {
         }
         let service = work * cand.cpu + cand.mig_cycles;
         self.stats.service_scheduled += service;
-        self.stats.energy_j +=
-            work * cand.epu + cand.mig_cycles / CLOCK_HZ * MIGRATION_POWER_FRACTION * design.peak_w;
+        self.stats.energy_j += work * cand.epu + migration_energy_j(cand.mig_cycles, cand.peak_w);
+        let idle_at = self.idle_cores.partition_point(|&c| c < cand.core);
+        let taken = self.idle_cores.remove(idle_at);
+        debug_assert_eq!(taken, cand.core, "placed on an idle core");
         let core = &mut self.cores[cand.core as usize];
-        core.busy = Some(tid);
         core.busy_cycles += service;
         let chip = &mut self.chips[core.chip as usize];
         chip.active_mw += core.peak_mw;
@@ -480,16 +458,16 @@ impl<'a> Shard<'a> {
 
     /// Processes one segment completion.
     fn complete_segment(&mut self, ev: Event) {
-        let core = &mut self.cores[ev.core as usize];
-        debug_assert_eq!(core.busy, Some(ev.thread));
-        core.busy = None;
+        let core = &self.cores[ev.core as usize];
         let chip = &mut self.chips[core.chip as usize];
         chip.active_mw -= core.peak_mw;
+        let idle_at = self.idle_cores.partition_point(|&c| c < ev.core);
+        self.idle_cores.insert(idle_at, ev.core);
         let thr = &mut self.threads[ev.thread as usize];
-        self.stats.work_executed += thr.cur_work;
-        thr.executed += thr.cur_work;
+        let work = thr.segments[thr.seg_idx as usize];
+        self.stats.work_executed += work;
+        thr.executed += work;
         thr.seg_idx += 1;
-        thr.last_core = Some(ev.core);
         if (thr.seg_idx as usize) == thr.segments.len() {
             self.stats.completed += 1;
             let response = self.now - thr.arrival;
@@ -551,12 +529,10 @@ impl<'a> Shard<'a> {
                     arrival: spec.arrival_cycles,
                     ready_since: spec.arrival_cycles,
                     seg_idx: 0,
-                    cur_work: 0.0,
                     executed: 0.0,
                     bound,
                     last_core: None,
                     compiled_fs: 0,
-                    placed: false,
                 });
                 self.ready.push_back(tid);
             } else {

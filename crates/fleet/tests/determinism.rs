@@ -11,8 +11,8 @@ use std::sync::OnceLock;
 
 use cisa_explore::{DesignId, DesignSpace, PerfTable, SweepRunner};
 use cisa_fleet::{
-    simulate_fleet, AffinityGreedy, FleetConfig, FleetSpec, MigrationAware, MigrationMatrix,
-    PolicyReport, SchedulerPolicy, StaticRandom,
+    run_policies, simulate_fleet, AffinityGreedy, FleetConfig, FleetSpec, MigrationAware,
+    MigrationMatrix, PolicyReport, SchedulerPolicy, StaticRandom,
 };
 use cisa_isa::FeatureSet;
 use cisa_workloads::all_phases;
@@ -155,3 +155,97 @@ fn policies_actually_differ() {
         stat.p99_slowdown
     );
 }
+
+/// The exact reports of the fixture fleet, one per policy. Any change
+/// to the engine, a policy or the fleet's energy accounting that moves
+/// a reported digit fails here.
+#[test]
+fn fixture_reports_match_golden() {
+    let (_, _, spec, mm) = fixtures();
+    let cfg = config();
+    let runner = SweepRunner::new(2);
+    let cases: [(&dyn SchedulerPolicy, &str); 3] = [
+        (&StaticRandom, STATIC_RANDOM_GOLDEN),
+        (&AffinityGreedy, AFFINITY_GREEDY_GOLDEN),
+        (&MigrationAware, MIGRATION_AWARE_GOLDEN),
+    ];
+    for (policy, golden) in cases {
+        let report = run_policies(spec, mm, &[policy], &cfg, &runner);
+        assert_eq!(report.to_json(), golden, "{} report moved", policy.name());
+    }
+}
+
+const STATIC_RANDOM_GOLDEN: &str = r#"{
+  "n_chips": 32,
+  "n_threads": 4000,
+  "n_shards": 8,
+  "seed": 990951,
+  "matrix_native": 1608,
+  "matrix_transforming": 2456,
+  "matrix_state_transforming": 1344,
+  "static_random_completed": 4000,
+  "static_random_throughput_units_per_s": 4.369897e5,
+  "static_random_energy_per_unit_j": 1.043663e-3,
+  "static_random_mean_response_s": 2.170858e-1,
+  "static_random_edp": 2.265644e-4,
+  "static_random_p50_slowdown": 4.899043e0,
+  "static_random_p99_slowdown": 1.290311e2,
+  "static_random_max_slowdown": 3.648609e2,
+  "static_random_migrations": 0,
+  "static_random_migrations_native": 0,
+  "static_random_migrations_transforming": 0,
+  "static_random_migrations_state_transforming": 0,
+  "static_random_cap_blocked": 166022,
+  "static_random_max_cap_utilization": 9.437676e-1
+}
+"#;
+
+const AFFINITY_GREEDY_GOLDEN: &str = r#"{
+  "n_chips": 32,
+  "n_threads": 4000,
+  "n_shards": 8,
+  "seed": 990951,
+  "matrix_native": 1608,
+  "matrix_transforming": 2456,
+  "matrix_state_transforming": 1344,
+  "affinity_greedy_completed": 4000,
+  "affinity_greedy_throughput_units_per_s": 4.528063e5,
+  "affinity_greedy_energy_per_unit_j": 9.870094e-4,
+  "affinity_greedy_mean_response_s": 3.011605e-2,
+  "affinity_greedy_edp": 2.972483e-5,
+  "affinity_greedy_p50_slowdown": 1.032049e0,
+  "affinity_greedy_p99_slowdown": 2.376280e0,
+  "affinity_greedy_max_slowdown": 3.633810e0,
+  "affinity_greedy_migrations": 1471,
+  "affinity_greedy_migrations_native": 1185,
+  "affinity_greedy_migrations_transforming": 11,
+  "affinity_greedy_migrations_state_transforming": 275,
+  "affinity_greedy_cap_blocked": 9263,
+  "affinity_greedy_max_cap_utilization": 9.437676e-1
+}
+"#;
+
+const MIGRATION_AWARE_GOLDEN: &str = r#"{
+  "n_chips": 32,
+  "n_threads": 4000,
+  "n_shards": 8,
+  "seed": 990951,
+  "matrix_native": 1608,
+  "matrix_transforming": 2456,
+  "matrix_state_transforming": 1344,
+  "migration_aware_completed": 4000,
+  "migration_aware_throughput_units_per_s": 4.528070e5,
+  "migration_aware_energy_per_unit_j": 9.871355e-4,
+  "migration_aware_mean_response_s": 3.118811e-2,
+  "migration_aware_edp": 3.078689e-5,
+  "migration_aware_p50_slowdown": 1.077868e0,
+  "migration_aware_p99_slowdown": 2.656780e0,
+  "migration_aware_max_slowdown": 3.717826e0,
+  "migration_aware_migrations": 143,
+  "migration_aware_migrations_native": 108,
+  "migration_aware_migrations_transforming": 34,
+  "migration_aware_migrations_state_transforming": 1,
+  "migration_aware_cap_blocked": 9397,
+  "migration_aware_max_cap_utilization": 9.437676e-1
+}
+"#;

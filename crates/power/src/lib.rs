@@ -13,7 +13,9 @@
 pub mod energy;
 pub mod model;
 
-pub use energy::{energy, energy_scaled, EnergyReport, EnergyScales, CLOCK_HZ};
+pub use energy::{
+    energy, energy_scaled, EnergyReport, EnergyScales, CLOCK_HZ, IDLE_POWER_FRACTION,
+};
 pub use model::{
     chip_budget, core_budget, l2_cost, ChipBudget, CoreBreakdown, CoreBudget, StructureCost,
 };
