@@ -3,7 +3,7 @@
 //! 48mm^2 (threads contend, so second-choice cores get used too).
 
 use cisa_bench::Harness;
-use cisa_explore::multicore::{permute4, search, Budget, CoreChoice, Objective};
+use cisa_explore::multicore::{permute4, search, Budget, CoreChoice, Objective, STEPS_PER_COMBO};
 use cisa_explore::{candidates, SystemKind};
 use std::collections::HashMap;
 
@@ -22,7 +22,7 @@ fn main() {
     // Replay the scheduled mixes and attribute execution time.
     let mut time_by: Vec<HashMap<String, f64>> = vec![HashMap::new(); eval.bench_phases.len()];
     for combo in &eval.combos {
-        for step in 0..eval.steps {
+        for step in 0..STEPS_PER_COMBO {
             let phases = combo.map(|b| {
                 let ps = &eval.bench_phases[b as usize];
                 ps[step % ps.len()]

@@ -4,7 +4,7 @@
 use cisa_bench::{Harness, POWER_BUDGETS};
 use cisa_explore::multicore::Objective;
 use cisa_explore::{search_system, SystemKind};
-use cisa_migrate::{MigrationConfig, MigrationSim};
+use cisa_migrate::MigrationSim;
 
 fn main() {
     let h = Harness::load();
@@ -24,7 +24,7 @@ fn main() {
             &cfg,
         )
         .map(|r| {
-            let mut sim = MigrationSim::new(&eval, MigrationConfig::default());
+            let mut sim = MigrationSim::new(&eval);
             sim.replay(&r.cores)
         })
     });

@@ -16,9 +16,7 @@ use crate::timing::fmt_secs;
 /// that is parallelism, not double counting.)
 pub fn render(snap: &Snapshot, wall_s: f64) -> String {
     if snap.is_empty() {
-        return "no metrics captured (observability is disabled: CISA_OBS=0 \
-                or an obs-noop build)\n"
-            .to_string();
+        return "no metrics captured (observability is disabled: CISA_OBS=0)\n".to_string();
     }
     let mut out = String::new();
 

@@ -86,6 +86,16 @@ impl Objective {
     }
 }
 
+/// Scheduling steps replayed per 4-benchmark combination by the
+/// multiprogrammed objectives.
+pub const STEPS_PER_COMBO: usize = 4;
+
+/// Cycles charged per migration between two cores that share one
+/// encoding (a composite-ISA chip, or vendor cores of the same ISA):
+/// a register-state move plus cache warmup. The single-thread
+/// objective and the migration replay both charge it.
+pub const COMPOSITE_MIGRATION_CYCLES: f64 = 30_000.0;
+
 /// Evaluation machinery shared by all searches.
 pub struct Evaluator<'a> {
     /// The design space.
@@ -103,8 +113,6 @@ pub struct Evaluator<'a> {
     pub ref_energy: Vec<f64>,
     /// 4-benchmark combinations evaluated per objective call.
     pub combos: Vec<[u8; 4]>,
-    /// Steps per combination.
-    pub steps: usize,
 }
 
 impl<'a> Evaluator<'a> {
@@ -171,7 +179,6 @@ impl<'a> Evaluator<'a> {
             ref_time,
             ref_energy,
             combos,
-            steps: 4,
         }
     }
 
@@ -239,7 +246,7 @@ impl<'a> Evaluator<'a> {
         let mut total = 0.0;
         let mut count = 0usize;
         for combo in &self.combos {
-            for step in 0..self.steps {
+            for step in 0..STEPS_PER_COMBO {
                 let phases = combo.map(|b| {
                     let ps = &self.bench_phases[b as usize];
                     ps[step % ps.len()]
@@ -274,7 +281,7 @@ impl<'a> Evaluator<'a> {
         for combo in &self.combos {
             let mut energy = 0.0;
             let mut time = 0.0;
-            for step in 0..self.steps {
+            for step in 0..STEPS_PER_COMBO {
                 let phases = combo.map(|b| {
                     let ps = &self.bench_phases[b as usize];
                     ps[step % ps.len()]
@@ -325,7 +332,7 @@ impl<'a> Evaluator<'a> {
         }
         match (from, to) {
             (CoreChoice::Vendor(a, _), CoreChoice::Vendor(b, _)) if a != b => 3_000_000.0,
-            _ => 30_000.0,
+            _ => COMPOSITE_MIGRATION_CYCLES,
         }
     }
 
@@ -1027,6 +1034,43 @@ mod tests {
             &SearchConfig::default(),
         );
         assert!(r.is_none(), "1W cannot fit any core");
+    }
+
+    /// Golden values recorded before any of the evaluator's settable
+    /// values became constants: the single-thread objective must stay
+    /// bit-identical. This fixture has one phase per benchmark, so no
+    /// migration is charged here; `cisa-migrate`'s replay tests pin the
+    /// migration prices on a two-phase fixture.
+    #[test]
+    fn single_thread_speedup_is_pinned() {
+        let (space, table) = fixtures();
+        let eval = Evaluator::new(space, table, 6);
+        let reference = [CoreChoice::Composite(reference_design(space)); 4];
+        let cfg = SearchConfig {
+            pool_cap: 60,
+            ..Default::default()
+        };
+        let searched = search(
+            &eval,
+            &composite_candidates(space),
+            Objective::SingleThread,
+            Budget::PeakPower(10.0),
+            &cfg,
+        )
+        .expect("feasible")
+        .cores;
+        let big = space.microarchs.len() as u16 - 1;
+        let vendors = [
+            CoreChoice::Vendor(VendorIsa::Thumb, 0),
+            CoreChoice::Vendor(VendorIsa::Alpha, big),
+            CoreChoice::Vendor(VendorIsa::X86_64, big),
+            CoreChoice::Composite(reference_design(space)),
+        ];
+        let got = [reference, searched, vendors].map(|c| eval.single_thread_speedup(&c).to_bits());
+        assert_eq!(
+            got,
+            [0x3ff0000000000000, 0x3fee6fb45509a5b4, 0x3ff23c49f1862b06]
+        );
     }
 
     #[test]

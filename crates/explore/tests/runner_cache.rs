@@ -3,6 +3,7 @@
 //! probing entirely.
 
 use cisa_explore::profile::probes_run;
+use cisa_explore::runner::MAX_ATTEMPTS;
 use cisa_explore::{DesignId, DesignSpace, FaultPlan, PerfTable, ProfileCache, SweepRunner};
 use cisa_workloads::all_phases;
 use std::path::PathBuf;
@@ -170,7 +171,7 @@ fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
     assert_eq!(report.failed_indices(), corrupted);
     assert_eq!(report.retried, corrupted.len() + panics.len());
     for e in &report.failed {
-        assert_eq!(e.attempts, runner.retries(), "{e}");
+        assert_eq!(e.attempts, MAX_ATTEMPTS, "{e}");
         assert!(e.message.contains("injected fault"), "{e}");
     }
 

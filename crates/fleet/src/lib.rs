@@ -61,4 +61,4 @@ pub use migration::{class_latency_cycles, MigrationMatrix};
 pub use policy::{AffinityGreedy, MigrationAware, SchedulerPolicy, StaticRandom};
 pub use report::{FleetReport, PolicyReport, ReportValue};
 pub use sim::{run_policies, simulate_fleet, simulate_shard, FleetConfig, ShardStats};
-pub use workload::{ArrivalParams, ArrivalStream, ThreadSpec, Workload};
+pub use workload::{ArrivalStream, ThreadSpec, Workload};

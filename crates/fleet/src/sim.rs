@@ -28,7 +28,7 @@
 //! The shard keeps its idle cores in a list sorted by core index,
 //! updated when a segment starts or completes. At every arrival and
 //! segment completion it runs a dispatch pass over up to
-//! [`FleetConfig::dispatch_window`] queued threads (FIFO order). For
+//! `DISPATCH_WINDOW` (8) queued threads (FIFO order). For
 //! each thread it walks the idle list once: every core whose chip
 //! lacks headroom for it counts one `cap_blocked`; a thread bound at
 //! arrival skips every other core; each remaining core becomes a
@@ -49,7 +49,10 @@ use crate::chips::FleetSpec;
 use crate::migration::{class_latency_cycles, migration_energy_j, MigrationMatrix};
 use crate::policy::{Candidate, SchedulerPolicy};
 use crate::report::{percentile, FleetReport, PolicyReport};
-use crate::workload::{ArrivalParams, ArrivalStream, Workload};
+use crate::workload::{mean_thread_work, ArrivalStream, Workload};
+
+/// Queued threads examined per dispatch pass (FIFO head window).
+const DISPATCH_WINDOW: usize = 8;
 
 /// Fleet-run configuration (everything except the hardware roster,
 /// which lives in [`FleetSpec`], and the policy).
@@ -66,16 +69,6 @@ pub struct FleetConfig {
     /// (`0 < utilization < 1`; the capacity model is documented on
     /// [`FleetConfig::shard_rate`]).
     pub utilization: f64,
-    /// Fraction of threads carrying a two-phase blended fingerprint.
-    pub mix_fraction: f64,
-    /// Segments per thread are uniform in `1..=max_segments`.
-    pub max_segments: u32,
-    /// Minimum per-segment work (units, log-uniform draw).
-    pub work_min: f64,
-    /// Maximum per-segment work (units).
-    pub work_max: f64,
-    /// Queued threads examined per dispatch pass (FIFO head window).
-    pub dispatch_window: usize,
 }
 
 impl Default for FleetConfig {
@@ -85,28 +78,11 @@ impl Default for FleetConfig {
             n_threads: 20_000,
             n_shards: 64,
             utilization: 0.55,
-            mix_fraction: 0.3,
-            max_segments: 4,
-            work_min: 60.0,
-            work_max: 600.0,
-            dispatch_window: 8,
         }
     }
 }
 
 impl FleetConfig {
-    /// The arrival parameters shared by every shard.
-    pub fn arrival_params(&self, n_phases: u16) -> ArrivalParams {
-        ArrivalParams {
-            seed: self.seed,
-            n_phases,
-            mix_fraction: self.mix_fraction,
-            max_segments: self.max_segments,
-            work_min: self.work_min,
-            work_max: self.work_max,
-        }
-    }
-
     /// The effective shard count for a roster (never more shards than
     /// chips, never zero).
     pub fn effective_shards(&self, spec: &FleetSpec) -> usize {
@@ -126,7 +102,7 @@ impl FleetConfig {
     /// x slowest mean_cpu)`), so the baseline policy saturates but
     /// does not diverge.
     pub fn shard_rate(&self, spec: &FleetSpec, shard: usize, n_shards: usize) -> f64 {
-        let mean_work = self.arrival_params(spec.n_phases as u16).mean_thread_work();
+        let mean_work = mean_thread_work();
         let mut unit_rate = 0.0f64;
         let mut n_cores = 0u64;
         let mut worst_cpu = 0.0f64;
@@ -360,7 +336,7 @@ impl<'a> Shard<'a> {
     /// thread can be placed.
     fn dispatch(&mut self) {
         while !self.idle_cores.is_empty() {
-            let window = self.cfg.dispatch_window.min(self.ready.len());
+            let window = DISPATCH_WINDOW.min(self.ready.len());
             let placed = (0..window).find_map(|qi| {
                 let tid = self.ready[qi];
                 self.consider(tid).map(|cand| (qi, cand))
@@ -488,7 +464,6 @@ impl<'a> Shard<'a> {
 
     /// Runs the shard to completion and returns its stats.
     fn run(mut self, shard: usize, n_shards: usize) -> ShardStats {
-        let params = self.cfg.arrival_params(self.spec.n_phases as u16);
         let per_shard = self.cfg.n_threads / n_shards as u64
             + u64::from((shard as u64) < self.cfg.n_threads % n_shards as u64);
         let rate = self.cfg.shard_rate(self.spec, shard, n_shards);
@@ -498,7 +473,8 @@ impl<'a> Shard<'a> {
             "shard {shard} has no core that fits its chip cap"
         );
         let mut arrivals = ArrivalStream::new(
-            params,
+            self.cfg.seed,
+            self.spec.n_phases as u16,
             shard as u64,
             shard as u64,
             n_shards as u64,

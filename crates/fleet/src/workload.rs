@@ -80,41 +80,21 @@ impl ThreadSpec {
     }
 }
 
-/// Parameters of the arrival process (shared by every shard).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrivalParams {
-    /// Base RNG seed; each shard derives a private stream from it.
-    pub seed: u64,
-    /// Corpus phase-row count to sample fingerprints from.
-    pub n_phases: u16,
-    /// Fraction of threads carrying a synthetic two-phase blend.
-    pub mix_fraction: f64,
-    /// Segments per thread are uniform in `1..=max_segments`.
-    pub max_segments: u32,
-    /// Minimum per-segment work (units); log-uniform up to `work_max`.
-    pub work_min: f64,
-    /// Maximum per-segment work (units).
-    pub work_max: f64,
-}
+/// Fraction of threads carrying a synthetic two-phase blend.
+pub(crate) const MIX_FRACTION: f64 = 0.3;
+/// Segments per thread are uniform in `1..=MAX_SEGMENTS`.
+pub(crate) const MAX_SEGMENTS: u32 = 4;
+/// Minimum per-segment work (units); log-uniform up to [`WORK_MAX`].
+pub(crate) const WORK_MIN: f64 = 60.0;
+/// Maximum per-segment work (units).
+pub(crate) const WORK_MAX: f64 = 600.0;
 
-impl ArrivalParams {
-    /// Mean segments per thread under the uniform segment-count draw.
-    pub fn mean_segments(&self) -> f64 {
-        (1.0 + self.max_segments as f64) / 2.0
-    }
-
-    /// Mean work per segment under the log-uniform draw.
-    pub fn mean_segment_work(&self) -> f64 {
-        if self.work_max <= self.work_min {
-            return self.work_min;
-        }
-        (self.work_max - self.work_min) / (self.work_max / self.work_min).ln()
-    }
-
-    /// Mean work per thread-lifetime.
-    pub fn mean_thread_work(&self) -> f64 {
-        self.mean_segments() * self.mean_segment_work()
-    }
+/// Mean work per thread-lifetime: the mean of the uniform
+/// segment-count draw times the mean of the log-uniform work draw.
+pub(crate) fn mean_thread_work() -> f64 {
+    let mean_segments = (1.0 + MAX_SEGMENTS as f64) / 2.0;
+    let mean_segment_work = (WORK_MAX - WORK_MIN) / (WORK_MAX / WORK_MIN).ln();
+    mean_segments * mean_segment_work
 }
 
 /// A shard-private lazy stream of [`ThreadSpec`]s: `count` arrivals
@@ -125,7 +105,7 @@ impl ArrivalParams {
 /// shard's private RNG.
 #[derive(Debug)]
 pub struct ArrivalStream {
-    params: ArrivalParams,
+    n_phases: u16,
     rng: SmallRng,
     next_time: f64,
     rate: f64,
@@ -138,21 +118,22 @@ impl ArrivalStream {
     /// A shard's arrival stream: `count` threads at `rate` threads per
     /// cycle. Thread ids start at `first_id` and advance by
     /// `id_stride`, so round-robin shard ownership yields globally
-    /// unique ids. The RNG stream is private to `(params.seed, shard)`.
+    /// unique ids. Fingerprints sample the first `n_phases` corpus
+    /// phase rows. The RNG stream is private to `(seed, shard)`.
     pub fn new(
-        params: ArrivalParams,
+        seed: u64,
+        n_phases: u16,
         shard: u64,
         first_id: u64,
         id_stride: u64,
         count: u64,
         rate: f64,
     ) -> Self {
-        let seed = params
-            .seed
+        let seed = seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(shard.wrapping_mul(0xA076_1D64_78BD_642F) ^ 0x000F_1EE7);
         ArrivalStream {
-            params,
+            n_phases,
             rng: SmallRng::seed_from_u64(seed),
             next_time: 0.0,
             rate,
@@ -171,10 +152,10 @@ impl ArrivalStream {
 
     /// Samples a fingerprint: pure corpus phase or two-phase blend.
     fn sample_workload(&mut self) -> Workload {
-        let n = self.params.n_phases;
+        let n = self.n_phases;
         let mix: f64 = self.rng.gen_range(0.0..1.0);
         let p1 = self.rng.gen_range(0..n);
-        if mix < self.params.mix_fraction && n > 1 {
+        if mix < MIX_FRACTION && n > 1 {
             let mut p2 = self.rng.gen_range(0..n - 1);
             if p2 >= p1 {
                 p2 += 1;
@@ -188,13 +169,8 @@ impl ArrivalStream {
 
     /// Draws one log-uniform segment work amount.
     fn sample_work(&mut self) -> f64 {
-        let lo = self.params.work_min.max(1e-9);
-        let hi = self.params.work_max.max(lo);
-        if hi <= lo {
-            return lo;
-        }
         let u: f64 = self.rng.gen_range(0.0..1.0);
-        (lo.ln() + u * (hi.ln() - lo.ln())).exp()
+        (WORK_MIN.ln() + u * (WORK_MAX.ln() - WORK_MIN.ln())).exp()
     }
 }
 
@@ -208,7 +184,7 @@ impl Iterator for ArrivalStream {
         self.remaining -= 1;
         self.next_time += self.gap();
         let workload = self.sample_workload();
-        let n_segs = self.rng.gen_range(1..=self.params.max_segments.max(1));
+        let n_segs = self.rng.gen_range(1..=MAX_SEGMENTS);
         let segments = (0..n_segs).map(|_| self.sample_work()).collect();
         let spec = ThreadSpec {
             id: self.next_id,
@@ -225,35 +201,24 @@ impl Iterator for ArrivalStream {
 mod tests {
     use super::*;
 
-    fn params() -> ArrivalParams {
-        ArrivalParams {
-            seed: 7,
-            n_phases: 49,
-            mix_fraction: 0.3,
-            max_segments: 4,
-            work_min: 50.0,
-            work_max: 500.0,
-        }
-    }
-
     #[test]
     fn stream_is_deterministic_per_shard() {
-        let a: Vec<_> = ArrivalStream::new(params(), 3, 3, 8, 100, 1e-4).collect();
-        let b: Vec<_> = ArrivalStream::new(params(), 3, 3, 8, 100, 1e-4).collect();
+        let a: Vec<_> = ArrivalStream::new(7, 49, 3, 3, 8, 100, 1e-4).collect();
+        let b: Vec<_> = ArrivalStream::new(7, 49, 3, 3, 8, 100, 1e-4).collect();
         assert_eq!(a, b);
-        let c: Vec<_> = ArrivalStream::new(params(), 4, 4, 8, 100, 1e-4).collect();
+        let c: Vec<_> = ArrivalStream::new(7, 49, 4, 4, 8, 100, 1e-4).collect();
         assert_ne!(a, c, "different shards draw different streams");
     }
 
     #[test]
     fn arrivals_are_monotone_and_bounded() {
         let mut last = 0.0;
-        for t in ArrivalStream::new(params(), 0, 0, 1, 500, 1e-4) {
+        for t in ArrivalStream::new(7, 49, 0, 0, 1, 500, 1e-4) {
             assert!(t.arrival_cycles > last);
             last = t.arrival_cycles;
-            assert!(!t.segments.is_empty() && t.segments.len() <= 4);
+            assert!(!t.segments.is_empty() && t.segments.len() <= MAX_SEGMENTS as usize);
             for &w in &t.segments {
-                assert!((50.0..=500.0).contains(&w));
+                assert!((WORK_MIN..=WORK_MAX).contains(&w));
             }
             assert!(t.workload.alpha > 0.0 && t.workload.alpha <= 1.0);
             assert!(t.workload.p1 < 49 && t.workload.p2 < 49);
@@ -262,7 +227,7 @@ mod tests {
 
     #[test]
     fn mix_fraction_is_roughly_honored() {
-        let mixed = ArrivalStream::new(params(), 1, 1, 8, 2000, 1e-4)
+        let mixed = ArrivalStream::new(7, 49, 1, 1, 8, 2000, 1e-4)
             .filter(|t| !t.workload.is_pure())
             .count();
         let frac = mixed as f64 / 2000.0;
@@ -271,13 +236,12 @@ mod tests {
 
     #[test]
     fn mean_work_matches_log_uniform_formula() {
-        let p = params();
         let n = 20_000;
-        let total: f64 = ArrivalStream::new(p, 2, 2, 8, n, 1e-4)
+        let total: f64 = ArrivalStream::new(7, 49, 2, 2, 8, n, 1e-4)
             .map(|t| t.total_work())
             .sum();
         let mean = total / n as f64;
-        let expect = p.mean_thread_work();
+        let expect = mean_thread_work();
         assert!(
             (mean - expect).abs() / expect < 0.05,
             "mean {mean} vs {expect}"

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use cisa_explore::multicore::{permute4, CoreChoice, Evaluator};
+use cisa_explore::multicore::{permute4, CoreChoice, Evaluator, COMPOSITE_MIGRATION_CYCLES};
 use cisa_isa::feature_set::DowngradeGap;
 use cisa_isa::FeatureSet;
 use cisa_workloads::all_benchmarks;
@@ -22,29 +22,13 @@ use cisa_workloads::all_phases;
 use crate::downgrade::downgrade_cost;
 use crate::error::MigrateError;
 
-/// Knobs of the migration replay.
-#[derive(Debug, Clone, Copy)]
-pub struct MigrationConfig {
-    /// Cycles charged per migration within the composite-ISA chip
-    /// (register state move + cold caches).
-    pub migration_cycles: f64,
-    /// Scheduling steps replayed per workload mix.
-    pub steps: usize,
-    /// Units of phase work per scheduling interval. SimPoint intervals
-    /// are long (hundreds of millions of instructions), so migration
-    /// costs amortize over many units of work.
-    pub units_per_step: f64,
-}
+/// Scheduling steps replayed per workload mix.
+const STEPS: usize = 12;
 
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        MigrationConfig {
-            migration_cycles: 30_000.0,
-            steps: 12,
-            units_per_step: 50.0,
-        }
-    }
-}
+/// Units of phase work per scheduling interval. SimPoint intervals are
+/// long (hundreds of millions of instructions), so migration costs
+/// amortize over many units of work.
+const UNITS_PER_STEP: f64 = 50.0;
 
 /// Outcome of a migration replay.
 #[derive(Debug, Clone, Default)]
@@ -92,17 +76,15 @@ fn gap_label(gap: &DowngradeGap) -> &'static str {
 /// The migration replay engine.
 pub struct MigrationSim<'a> {
     eval: &'a Evaluator<'a>,
-    config: MigrationConfig,
     /// Cache of measured downgrade costs per (benchmark, from, to).
     cost_cache: HashMap<(usize, FeatureSet, FeatureSet), f64>,
 }
 
 impl<'a> MigrationSim<'a> {
     /// Creates a replay over the evaluator's workload mixes.
-    pub fn new(eval: &'a Evaluator<'a>, config: MigrationConfig) -> Self {
+    pub fn new(eval: &'a Evaluator<'a>) -> Self {
         MigrationSim {
             eval,
-            config,
             cost_cache: HashMap::new(),
         }
     }
@@ -177,7 +159,6 @@ impl<'a> MigrationSim<'a> {
     pub fn replay(&mut self, cores: &[CoreChoice; 4]) -> Result<MigrationReport, MigrateError> {
         let mut report = MigrationReport::default();
         let combos = self.eval.combos.clone();
-        let steps = self.config.steps;
         let binary_fs: Vec<FeatureSet> = (0..self.eval.bench_phases.len())
             .map(|b| self.binary_feature_set(b, cores))
             .collect();
@@ -187,7 +168,7 @@ impl<'a> MigrationSim<'a> {
         let mut count = 0usize;
         for combo in &combos {
             let mut prev_assign: Option<[usize; 4]> = None;
-            for step in 0..steps {
+            for step in 0..STEPS {
                 let phases = combo.map(|b| {
                     let ps = &self.eval.bench_phases[b as usize];
                     ps[step % ps.len()]
@@ -216,12 +197,11 @@ impl<'a> MigrationSim<'a> {
                     let free_speed = self.eval.ref_time[p] / perf.cycles_per_unit;
                     free_total += free_speed;
 
-                    let units = self.config.units_per_step;
-                    let mut time = perf.cycles_per_unit * units;
+                    let mut time = perf.cycles_per_unit * UNITS_PER_STEP;
                     let moved = prev_assign.is_some_and(|pa| pa[t] != best_perm[t]);
                     if moved {
                         report.migrations += 1;
-                        time += self.config.migration_cycles;
+                        time += COMPOSITE_MIGRATION_CYCLES;
                         let bfs = binary_fs[combo[t] as usize];
                         let cfs = self.core_fs(core);
                         if !cfs.covers(&bfs) {
@@ -231,7 +211,7 @@ impl<'a> MigrationSim<'a> {
                             time *= self.downgrade_factor(combo[t] as usize, bfs, cfs)?;
                         }
                     }
-                    cost_total += self.eval.ref_time[p] * units / time;
+                    cost_total += self.eval.ref_time[p] * UNITS_PER_STEP / time;
                     count += 1;
                 }
                 prev_assign = Some(best_perm);
@@ -248,6 +228,7 @@ mod tests {
     use super::*;
     use cisa_explore::multicore::{search, Budget, Objective, SearchConfig};
     use cisa_explore::{DesignSpace, PerfTable};
+    use cisa_isa::VendorIsa;
     use std::sync::OnceLock;
 
     fn fixtures() -> &'static (DesignSpace, PerfTable) {
@@ -260,26 +241,33 @@ mod tests {
         })
     }
 
-    #[test]
-    fn migration_degradation_is_small_for_composite() {
-        let (space, table) = fixtures();
-        let eval = Evaluator::new(space, table, 8);
-        let cands: Vec<CoreChoice> = space.ids().map(CoreChoice::Composite).collect();
+    /// The best throughput chip under a 64 mm^2 area budget.
+    fn throughput_chip(eval: &Evaluator) -> [CoreChoice; 4] {
+        let cands: Vec<CoreChoice> = eval.space.ids().map(CoreChoice::Composite).collect();
         let cfg = SearchConfig {
             pool_cap: 70,
             restarts: 1,
             ..Default::default()
         };
-        let best = search(
-            &eval,
+        search(
+            eval,
             &cands,
             Objective::Throughput,
             Budget::Area(64.0),
             &cfg,
         )
-        .expect("feasible");
-        let mut sim = MigrationSim::new(&eval, MigrationConfig::default());
-        let report = sim.replay(&best.cores).expect("fault-free replay");
+        .expect("feasible")
+        .cores
+    }
+
+    #[test]
+    fn migration_degradation_is_small_for_composite() {
+        let (space, table) = fixtures();
+        let eval = Evaluator::new(space, table, 8);
+        let mut sim = MigrationSim::new(&eval);
+        let report = sim
+            .replay(&throughput_chip(&eval))
+            .expect("fault-free replay");
         assert!(report.migrations > 0, "threads must migrate");
         let deg = report.degradation();
         assert!(
@@ -288,13 +276,70 @@ mod tests {
         );
     }
 
+    /// Golden Fig 15 replay recorded before the replay's settable
+    /// values became constants: counts and the f64 bits of both
+    /// throughputs must stay identical.
+    #[test]
+    fn replay_report_is_pinned() {
+        let (space, table) = fixtures();
+        let eval = Evaluator::new(space, table, 8);
+        let mut sim = MigrationSim::new(&eval);
+        let report = sim
+            .replay(&throughput_chip(&eval))
+            .expect("fault-free replay");
+        let mut downgrades: Vec<_> = report.downgrades.into_iter().collect();
+        downgrades.sort();
+        let got = (
+            report.migrations,
+            downgrades,
+            report.throughput_free.to_bits(),
+            report.throughput_with_costs.to_bits(),
+        );
+        assert_eq!(
+            got,
+            (
+                154,
+                vec![
+                    ("64-bit -> 32-bit", 44),
+                    ("full -> partial predication", 44),
+                    ("register depth -> 16", 44),
+                    ("vector -> scalar", 110),
+                    ("x86 -> microx86", 110),
+                ],
+                0x3fef7e26832fbf29,
+                0x3fef0bb665daa508,
+            )
+        );
+    }
+
+    /// Golden single-thread speedups on this two-phase fixture, recorded
+    /// before the composite migration price became one shared
+    /// constant. The best core changes at phase boundaries on both
+    /// chips: the throughput chip pins the composite price, the vendor
+    /// chip the cross-vendor price.
+    #[test]
+    fn single_thread_speedup_is_pinned() {
+        let (space, table) = fixtures();
+        let eval = Evaluator::new(space, table, 8);
+        let big = space.microarchs.len() as u16 - 1;
+        let vendors = [
+            CoreChoice::Vendor(VendorIsa::Thumb, big),
+            CoreChoice::Vendor(VendorIsa::Alpha, big),
+            CoreChoice::Vendor(VendorIsa::X86_64, big),
+            CoreChoice::Composite(cisa_explore::reference_design(space)),
+        ];
+        let got =
+            [throughput_chip(&eval), vendors].map(|c| eval.single_thread_speedup(&c).to_bits());
+        assert_eq!(got, [0x3ff55cc5b26f332f, 0x3ff26662a69b1c05]);
+    }
+
     #[test]
     fn binary_feature_set_is_a_real_set() {
         let (space, table) = fixtures();
         let eval = Evaluator::new(space, table, 4);
         let ref_id = cisa_explore::reference_design(space);
         let cores = [CoreChoice::Composite(ref_id); 4];
-        let sim = MigrationSim::new(&eval, MigrationConfig::default());
+        let sim = MigrationSim::new(&eval);
         let fs = sim.binary_feature_set(0, &cores);
         assert!(FeatureSet::all().contains(&fs));
     }
@@ -305,7 +350,7 @@ mod tests {
         let eval = Evaluator::new(space, table, 6);
         let ref_id = cisa_explore::reference_design(space);
         let cores = [CoreChoice::Composite(ref_id); 4];
-        let mut sim = MigrationSim::new(&eval, MigrationConfig::default());
+        let mut sim = MigrationSim::new(&eval);
         let report = sim.replay(&cores).expect("fault-free replay");
         assert_eq!(
             report.total_downgrades(),

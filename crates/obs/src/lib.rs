@@ -17,20 +17,17 @@
 //!   total. Like counters, bucket increments commute.
 //!
 //! All state lives in one process-global [`Registry`]; [`snapshot`]
-//! captures it and [`Snapshot::to_json`] / [`Snapshot::to_jsonl`] render
-//! it with sorted keys and no timestamps, so two runs that do the same
-//! work produce byte-identical output (pass `timings = false` to also
-//! drop the wall-clock nanosecond fields).
+//! captures it and [`Snapshot::to_json`] renders it with sorted keys
+//! and no timestamps, so two runs that do the same work produce
+//! byte-identical output (pass `timings = false` to also drop the
+//! wall-clock nanosecond fields).
 //!
 //! # Switching it off
 //!
-//! * **Runtime**: set `CISA_OBS=0` (or `false` / `off`) in the
-//!   environment, or call [`set_enabled`]`(false)`. Disabled calls cost
-//!   one relaxed atomic load.
-//! * **Compile time**: enable the `noop` cargo feature — every
-//!   recording function becomes an empty inlineable stub and the layer
-//!   vanishes from the binary. The `obs_overhead` bench in `cisa-bench`
-//!   pins both costs.
+//! Set `CISA_OBS=0` (or `false` / `off`) in the environment, or call
+//! [`set_enabled`]`(false)`. Disabled calls cost one relaxed atomic
+//! load. The `obs_overhead` bench in `cisa-bench` pins the cost of the
+//! enabled layer against the disabled one.
 //!
 //! The full name catalogue — every span, counter, and histogram emitted
 //! by the workspace, with units and cardinality — lives in the
@@ -153,13 +150,10 @@ fn env_enabled() -> bool {
 
 /// Returns whether recording is currently active.
 ///
-/// `false` when built with the `noop` feature, when `CISA_OBS=0` is in
-/// the environment, or after [`set_enabled`]`(false)`.
+/// `false` when `CISA_OBS=0` is in the environment, or after
+/// [`set_enabled`]`(false)`.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "noop") {
-        return false;
-    }
     if ENABLED_OVERRIDE.load(Ordering::Relaxed) {
         ENABLED.load(Ordering::Relaxed)
     } else {
@@ -168,8 +162,6 @@ pub fn enabled() -> bool {
 }
 
 /// Overrides the `CISA_OBS` environment knob at runtime.
-///
-/// Has no effect under the `noop` feature (the layer is compiled out).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
     ENABLED_OVERRIDE.store(true, Ordering::Relaxed);
@@ -315,11 +307,6 @@ impl Snapshot {
         self.spans.get(path).map(|s| s.count).unwrap_or(0)
     }
 
-    /// Total wall-clock nanoseconds recorded under the named span path.
-    pub fn span_ns(&self, path: &str) -> u64 {
-        self.spans.get(path).map(|s| s.total_ns).unwrap_or(0)
-    }
-
     /// Iterates `(path, stat)` over all span aggregates in sorted order.
     pub fn spans(&self) -> impl Iterator<Item = (&str, SpanStat)> {
         self.spans.iter().map(|(k, v)| (k.as_str(), *v))
@@ -374,40 +361,6 @@ impl Snapshot {
             out.push('}');
         });
         out.push_str("}}");
-        out
-    }
-
-    /// Renders the snapshot as JSONL: one self-describing record per
-    /// line (`{"kind":"counter","name":...,"value":...}`), counters
-    /// first, then histograms, then spans, each group in sorted key
-    /// order. Same `timings` contract as [`Snapshot::to_json`].
-    pub fn to_jsonl(&self, timings: bool) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            out.push_str("{\"kind\":\"counter\",\"name\":");
-            push_json_string(&mut out, k);
-            out.push_str(",\"value\":");
-            out.push_str(&v.to_string());
-            out.push_str("}\n");
-        }
-        for (k, buckets) in &self.hists {
-            out.push_str("{\"kind\":\"hist\",\"name\":");
-            push_json_string(&mut out, k);
-            out.push_str(",\"buckets\":");
-            push_hist_value(&mut out, buckets);
-            out.push_str("}\n");
-        }
-        for (k, s) in &self.spans {
-            out.push_str("{\"kind\":\"span\",\"name\":");
-            push_json_string(&mut out, k);
-            out.push_str(",\"count\":");
-            out.push_str(&s.count.to_string());
-            if timings {
-                out.push_str(",\"ns\":");
-                out.push_str(&s.total_ns.to_string());
-            }
-            out.push_str("}\n");
-        }
         out
     }
 }
@@ -565,21 +518,6 @@ mod tests {
         assert!(!j.contains("\"ns\""));
         // Snapshot of equal content renders identically.
         assert_eq!(j, r.snapshot().to_json(false));
-    }
-
-    #[test]
-    fn jsonl_lines_parse_shape() {
-        let r = Registry::new();
-        r.add_counter("c", 7);
-        r.add_span("s", 5);
-        let out = r.snapshot().to_jsonl(false);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"kind\":\"counter\",\"name\":\"c\",\"value\":7}"
-        );
-        assert_eq!(lines[1], "{\"kind\":\"span\",\"name\":\"s\",\"count\":1}");
     }
 
     #[test]

@@ -20,22 +20,30 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use cisa_explore::cache::fnv1a;
 use cisa_explore::interval::evaluate_block;
 use cisa_explore::profile::probe_compiled;
-use cisa_explore::runner::par_map_isolated;
+use cisa_explore::runner::{par_map_isolated, threads, MAX_ATTEMPTS};
 use cisa_explore::{DesignId, DesignSpace, FaultPlan, PerfTable, ShardedLru, ShardedProfileStore};
 use cisa_isa::FeatureSet;
 use cisa_workloads::PhaseSpec;
 
 pub use cisa_explore::interval::PhasePerf;
 
+/// Shards in the refined-row LRU.
+const ROW_SHARDS: usize = 8;
+/// Rows per shard in the refined-row LRU.
+const ROW_CAPACITY_PER_SHARD: usize = 64;
+/// Hard per-request budget for the refinement tier. The effective
+/// refinement deadline is `min(request deadline, now + budget)`, so a
+/// generous client deadline cannot pin a refinement permit for minutes.
+const REFINE_BUDGET: Duration = Duration::from_secs(10);
+
 /// Tuning knobs of one server instance.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// HTTP worker threads (each owns one connection at a time).
     pub workers: usize,
-    /// Threads one refinement sweep spreads its probes over.
-    pub refine_threads: usize,
     /// Refinement sweeps allowed to run concurrently; further requests
     /// wait (up to their deadline) for a permit.
     pub max_concurrent_refines: usize,
@@ -43,19 +51,10 @@ pub struct ServeConfig {
     pub default_deadline: Duration,
     /// Socket idle timeout for keep-alive connections.
     pub idle_timeout: Duration,
-    /// Shards in the refined-row LRU.
-    pub row_shards: usize,
-    /// Rows per shard in the refined-row LRU.
-    pub row_capacity_per_shard: usize,
     /// Accepted connections queued for a worker; when full, further
     /// connections are shed with a structured 429 instead of piling up
     /// unboundedly behind a slow tier.
     pub queue_capacity: usize,
-    /// Hard per-request budget for the refinement tier. The effective
-    /// refinement deadline is `min(request deadline, now + budget)`, so
-    /// a generous client deadline cannot pin a refinement permit for
-    /// minutes.
-    pub refine_budget: Duration,
     /// Consecutive refinement failures/timeouts that trip the circuit
     /// breaker open.
     pub breaker_threshold: u32,
@@ -80,14 +79,10 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 4,
-            refine_threads: cisa_explore::threads(),
             max_concurrent_refines: 2,
             default_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(5),
-            row_shards: 8,
-            row_capacity_per_shard: 64,
             queue_capacity: 128,
-            refine_budget: Duration::from_secs(10),
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_secs(2),
             shed_retry_after_s: 1,
@@ -377,7 +372,6 @@ pub struct ServerState {
     pub phases: Vec<PhaseSpec>,
     by_name: HashMap<String, usize>,
     pinned: HashMap<u64, Arc<AffinityRow>>,
-    pinned_by_phase: Vec<Arc<AffinityRow>>,
     rows: ShardedLru<Arc<AffinityRow>>,
     store: ShardedProfileStore,
     inflight: Mutex<HashMap<u64, InflightCell>>,
@@ -386,17 +380,6 @@ pub struct ServerState {
     lifecycle: AtomicU8,
     request_seq: AtomicU64,
     started: Instant,
-}
-
-/// The row LRU key of a fingerprint string (FNV-1a, same family the
-/// profile cache uses for its content addressing).
-pub fn row_key(fingerprint: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in fingerprint.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl ServerState {
@@ -416,7 +399,6 @@ impl ServerState {
         let n_ua = space.microarchs.len();
         let n_fs = space.feature_sets.len();
         let mut pinned = HashMap::new();
-        let mut pinned_by_phase = Vec::with_capacity(phases.len());
         let mut by_name = HashMap::new();
         for (pi, spec) in phases.iter().enumerate() {
             let mut perfs = Vec::with_capacity(n_fs * n_ua);
@@ -437,11 +419,10 @@ impl ServerState {
                 fingerprint: fingerprint.clone(),
                 perfs,
             });
-            pinned.insert(row_key(&fingerprint), Arc::clone(&row));
-            pinned_by_phase.push(Arc::clone(&row));
+            pinned.insert(fnv1a(fingerprint.as_bytes()), row);
             by_name.insert(spec.name(), pi);
         }
-        let rows = ShardedLru::new(config.row_shards, config.row_capacity_per_shard);
+        let rows = ShardedLru::new(ROW_SHARDS, ROW_CAPACITY_PER_SHARD);
         let permits = Permits::new(config.max_concurrent_refines);
         let breaker = CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown);
         ServerState {
@@ -450,7 +431,6 @@ impl ServerState {
             phases,
             by_name,
             pinned,
-            pinned_by_phase,
             rows,
             store,
             inflight: Mutex::new(HashMap::new()),
@@ -489,12 +469,6 @@ impl ServerState {
         self.request_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The pinned row of a known phase name, with its phase index.
-    pub fn phase_row(&self, name: &str) -> Option<(usize, Arc<AffinityRow>)> {
-        let pi = *self.by_name.get(name)?;
-        Some((pi, Arc::clone(&self.pinned_by_phase[pi])))
-    }
-
     /// The known phase spec for `name`.
     pub fn phase_spec(&self, name: &str) -> Option<&PhaseSpec> {
         self.by_name.get(name).map(|&pi| &self.phases[pi])
@@ -525,7 +499,7 @@ impl ServerState {
         deadline: Instant,
     ) -> Result<(RowSource, Arc<AffinityRow>), RowError> {
         let fingerprint = spec.fingerprint();
-        let key = row_key(&fingerprint);
+        let key = fnv1a(fingerprint.as_bytes());
         if let Some(row) = self.pinned.get(&key) {
             cisa_obs::counter("serve/affinity/table_hit", 1);
             return Ok((RowSource::Pinned, Arc::clone(row)));
@@ -583,7 +557,7 @@ impl ServerState {
         // The per-request deadline is capped by the server's own
         // refinement budget: a client asking for a five-minute deadline
         // must not pin a permit that long.
-        let deadline = deadline.min(Instant::now() + self.config.refine_budget);
+        let deadline = deadline.min(Instant::now() + REFINE_BUDGET);
         if Instant::now() >= deadline {
             if trial {
                 self.breaker.on_failure();
@@ -616,21 +590,21 @@ impl ServerState {
     ) -> Result<Arc<AffinityRow>, RowError> {
         const DEADLINE_MSG: &str = "deadline exceeded";
         let fss = &self.space.feature_sets;
-        // One panic-isolated task per feature set; a poisoned probe
-        // retries once and then fails the request, never the server.
-        let (profiles, report) =
-            par_map_isolated(fss, self.config.refine_threads, 2, |fs, _, _| {
-                if Instant::now() >= deadline {
-                    return Err(DEADLINE_MSG.to_string());
-                }
-                if let Some(p) = self.store.load(spec, *fs) {
-                    return Ok(p);
-                }
-                let code = cisa_compile(spec, fs)?;
-                let p = probe_compiled(spec, &code);
-                self.store.store(spec, *fs, &p);
-                Ok(p)
-            });
+        // One panic-isolated task per feature set, spread over the
+        // sweep worker count; a poisoned probe retries once and then
+        // fails the request, never the server.
+        let (profiles, report) = par_map_isolated(fss, threads(), MAX_ATTEMPTS, |fs, _, _| {
+            if Instant::now() >= deadline {
+                return Err(DEADLINE_MSG.to_string());
+            }
+            if let Some(p) = self.store.load(spec, *fs) {
+                return Ok(p);
+            }
+            let code = cisa_compile(spec, fs)?;
+            let p = probe_compiled(spec, &code);
+            self.store.store(spec, *fs, &p);
+            Ok(p)
+        });
         if !report.failed.is_empty() {
             if report.failed.iter().any(|e| e.message == DEADLINE_MSG) {
                 return Err(RowError::DeadlineExceeded);
