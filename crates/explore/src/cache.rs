@@ -174,6 +174,13 @@ impl ProfileCache {
         self.dir.join(format!("{key:016x}.profile"))
     }
 
+    /// Whether an entry for `(spec, fs)` is on disk. Counts nothing and
+    /// reads nothing: only [`ProfileCache::load`] tells a valid entry
+    /// from a torn one.
+    pub fn holds(&self, spec: &PhaseSpec, fs: FeatureSet) -> bool {
+        self.path_for(Self::key(spec, fs)).exists()
+    }
+
     /// Looks up a probe result. `None` on absent, stale, or corrupt
     /// entries; stale and corrupt files are deleted so they can never
     /// be served (or mistaken for valid) by a later reader.

@@ -113,6 +113,9 @@ pub struct Evaluator<'a> {
     pub ref_energy: Vec<f64>,
     /// 4-benchmark combinations evaluated per objective call.
     pub combos: Vec<[u8; 4]>,
+    /// [`Evaluator::multi_edp_raw`] of four reference cores: the
+    /// baseline every EDP score divides by.
+    ref_multi_edp: f64,
 }
 
 impl<'a> Evaluator<'a> {
@@ -171,7 +174,7 @@ impl<'a> Evaluator<'a> {
         }
         combos.sort();
 
-        Evaluator {
+        let mut eval = Evaluator {
             space,
             table,
             bench_phases,
@@ -179,7 +182,10 @@ impl<'a> Evaluator<'a> {
             ref_time,
             ref_energy,
             combos,
-        }
+            ref_multi_edp: f64::NAN,
+        };
+        eval.ref_multi_edp = eval.multi_edp_raw(&[CoreChoice::Composite(ref_id); 4]);
+        eval
     }
 
     /// Performance/energy of a core on a phase.
@@ -268,24 +274,31 @@ impl<'a> Evaluator<'a> {
     /// Multiprogrammed EDP improvement over the reference homogeneous
     /// chip (higher is better).
     pub fn multi_edp_gain(&self, cores: &[CoreChoice; 4]) -> f64 {
-        let ref_id = reference_design(self.space);
-        let ref_cores = [CoreChoice::Composite(ref_id); 4];
-        let ours = self.multi_edp_raw(cores);
-        let base = self.multi_edp_raw(&ref_cores);
-        base / ours
+        self.ref_multi_edp / self.multi_edp_raw(cores)
     }
 
     /// Raw multiprogrammed EDP (energy x time, arbitrary units).
     pub fn multi_edp_raw(&self, cores: &[CoreChoice; 4]) -> f64 {
+        // Idle power of each core while it waits for the step's slowest
+        // thread.
+        let idle_w = cores.map(|c| cisa_power::IDLE_POWER_FRACTION * self.budget(&c).1);
         let mut total_edp = 0.0;
         for combo in &self.combos {
             let mut energy = 0.0;
             let mut time = 0.0;
             for step in 0..STEPS_PER_COMBO {
-                let phases = combo.map(|b| {
+                // cycles[t][c], energy[t][c]: thread t's phase on core c.
+                let mut cycles = [[0.0f64; 4]; 4];
+                let mut energies = [[0.0f64; 4]; 4];
+                for (t, &b) in combo.iter().enumerate() {
                     let ps = &self.bench_phases[b as usize];
-                    ps[step % ps.len()]
-                });
+                    let p = ps[step % ps.len()];
+                    for (c, core) in cores.iter().enumerate() {
+                        let perf = self.perf(p, core);
+                        cycles[t][c] = perf.cycles_per_unit;
+                        energies[t][c] = perf.energy_per_unit;
+                    }
+                }
                 // Evaluate all 24 assignments, pick the one minimizing
                 // the step's energy x time.
                 let mut best = f64::INFINITY;
@@ -293,18 +306,14 @@ impl<'a> Evaluator<'a> {
                 permute4(|perm| {
                     let mut step_time = 0.0f64;
                     let mut step_energy = 0.0f64;
-                    for (t, &p) in phases.iter().enumerate() {
-                        let perf = self.perf(p, &cores[perm[t]]);
-                        step_time = step_time.max(perf.cycles_per_unit);
-                        step_energy += perf.energy_per_unit;
+                    for t in 0..4 {
+                        step_time = step_time.max(cycles[t][perm[t]]);
+                        step_energy += energies[t][perm[t]];
                     }
                     // Idle energy of early-finishing cores.
-                    for (t, &p) in phases.iter().enumerate() {
-                        let perf = self.perf(p, &cores[perm[t]]);
-                        let idle_cycles = step_time - perf.cycles_per_unit;
-                        let (_, peak) = self.budget(&cores[perm[t]]);
-                        step_energy += cisa_power::IDLE_POWER_FRACTION * peak * idle_cycles
-                            / cisa_power::CLOCK_HZ;
+                    for t in 0..4 {
+                        let idle_cycles = step_time - cycles[t][perm[t]];
+                        step_energy += idle_w[perm[t]] * idle_cycles / cisa_power::CLOCK_HZ;
                     }
                     let cost = step_energy * step_time;
                     if cost < best {
@@ -1071,6 +1080,77 @@ mod tests {
             got,
             [0x3ff0000000000000, 0x3fee6fb45509a5b4, 0x3ff23c49f1862b06]
         );
+    }
+
+    /// Golden values recorded before the EDP objective priced its
+    /// reference chip once: the multiprogrammed scores must stay
+    /// bit-identical.
+    #[test]
+    fn multiprogrammed_scores_are_pinned() {
+        let (space, table) = fixtures();
+        let eval = Evaluator::new(space, table, 6);
+        let reference = [CoreChoice::Composite(reference_design(space)); 4];
+        // Four composite cores spread over the space, and a chip that
+        // mixes vendor and composite cores.
+        let big = space.microarchs.len() as u16 - 1;
+        let id = |fs: u16, ua: u16| CoreChoice::Composite(DesignId { fs, ua });
+        let a = [id(0, 0), id(5, 90), id(12, big), id(20, 40)];
+        let b = [
+            CoreChoice::Vendor(VendorIsa::Thumb, 0),
+            CoreChoice::Vendor(VendorIsa::Alpha, big),
+            id(3, 120),
+            reference[0],
+        ];
+        let got = [reference, a, b].map(|c| {
+            [
+                eval.score(&c, Objective::Throughput).to_bits(),
+                eval.score(&c, Objective::Edp).to_bits(),
+                eval.multi_edp_raw(&c).to_bits(),
+            ]
+        });
+        assert_eq!(
+            got,
+            [
+                [0x3ff0000000000000, 0x3ff0000000000000, 0x40b709e90ceffe6d],
+                [0x3fee1d38635d3c13, 0x3fdd63d91c8dfdb6, 0x40c915abedff78a3],
+                [0x3feacc9eaac111b8, 0x3fdb70f446ebfaa6, 0x40caddb8d07d8c30],
+            ]
+        );
+    }
+
+    /// Differential check: the reference chip is its own EDP baseline,
+    /// whatever the workload mixes.
+    #[test]
+    fn reference_chip_edp_gain_is_exactly_one() {
+        let (space, table) = fixtures();
+        let reference = [CoreChoice::Composite(reference_design(space)); 4];
+        for n_combos in [1, 4, 6, 35] {
+            let eval = Evaluator::new(space, table, n_combos);
+            assert_eq!(eval.multi_edp_gain(&reference), 1.0, "{n_combos} mixes");
+        }
+    }
+
+    /// Golden cores and score of one EDP search, recorded with the
+    /// scores above: the search must take the same trajectory.
+    #[test]
+    fn edp_search_is_pinned() {
+        let (space, table) = fixtures();
+        let eval = Evaluator::new(space, table, 6);
+        let cfg = SearchConfig {
+            pool_cap: 60,
+            ..Default::default()
+        };
+        let r = search(
+            &eval,
+            &composite_candidates(space),
+            Objective::Edp,
+            Budget::PeakPower(30.0),
+            &cfg,
+        )
+        .expect("feasible");
+        let id = |fs: u16, ua: u16| CoreChoice::Composite(DesignId { fs, ua });
+        assert_eq!(r.cores, [id(17, 16), id(15, 16), id(7, 4), id(3, 4)]);
+        assert_eq!(r.score.to_bits(), 0x3ffc5339c258fe28);
     }
 
     #[test]

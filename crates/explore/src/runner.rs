@@ -31,7 +31,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cisa_compiler::{compile, CompileOptions};
+use cisa_compiler::{compile, CompileOptions, CompiledCode};
 use cisa_isa::encoding::InstLengthDecoder;
 use cisa_isa::inst::MachineInst;
 use cisa_isa::{Encoder, FeatureSet};
@@ -138,9 +138,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One finished sweep item: input index, attempts used, outcome.
-type ItemOutcome<U> = (usize, u32, Result<U, String>);
-
 /// Runs one item to completion: catch panics, retry up to
 /// `max_attempts`, report the attempt count actually used.
 fn run_item<T, U, F>(f: &F, item: &T, index: usize, max_attempts: u32) -> (u32, Result<U, String>)
@@ -170,6 +167,46 @@ where
     }
 }
 
+/// Runs `f(i)` for every index in `indices` on up to `n_threads` scoped
+/// workers pulling from an atomic queue, in `indices` order; returns
+/// `(i, f(i))` pairs in completion order.
+///
+/// Runs inline on the caller's thread when one worker suffices or when
+/// called from inside another worker (nested sweeps must not multiply
+/// the thread count).
+fn pool_run<R, F>(indices: &[usize], n_threads: usize, f: F) -> Vec<(usize, R)>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = n_threads.min(indices.len()).max(1);
+    if workers == 1 || IN_WORKER.with(|w| w.get()) {
+        return indices.iter().map(|&i| (i, f(i))).collect();
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
+                    let mut out = Vec::new();
+                    while let Some(&i) = indices.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        out.push((i, f(i)));
+                    }
+                    IN_WORKER.with(|w| w.set(false));
+                    out
+                })
+            })
+            .collect();
+        // Sweep items run under `run_item`, which catches their panics;
+        // a join failure here would mean the harness itself is broken.
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("pool worker cannot panic"))
+            .collect()
+    })
+}
+
 /// Panic-isolated, retrying parallel map with deterministic output
 /// order.
 ///
@@ -191,55 +228,38 @@ where
     U: Send,
     F: Fn(&T, usize, u32) -> Result<U, String> + Sync,
 {
+    let all: Vec<usize> = (0..items.len()).collect();
+    map_waves(items, &[all], n_threads, max_attempts, f)
+}
+
+/// [`par_map_isolated`] dispatched in waves: `waves` partitions the item
+/// indices, each wave is dispatched in its own order, and a wave starts
+/// only after the previous one has finished. Output, report and metrics
+/// are in input-index order, exactly as [`par_map_isolated`] gives them.
+fn map_waves<T, U, F>(
+    items: &[T],
+    waves: &[Vec<usize>],
+    n_threads: usize,
+    max_attempts: u32,
+    f: F,
+) -> (Vec<Option<U>>, SweepReport)
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T, usize, u32) -> Result<U, String> + Sync,
+{
     let n = items.len();
     let max_attempts = max_attempts.max(1);
-    let workers = n_threads.min(n).max(1);
-
-    let mut results: Vec<ItemOutcome<U>> = if workers == 1 || n <= 1 || IN_WORKER.with(|w| w.get())
-    {
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let (attempts, r) = run_item(&f, t, i, max_attempts);
-                (i, attempts, r)
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let mut parts: Vec<Vec<ItemOutcome<U>>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        IN_WORKER.with(|w| w.set(true));
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let (attempts, r) = run_item(&f, &items[i], i, max_attempts);
-                            out.push((i, attempts, r));
-                        }
-                        IN_WORKER.with(|w| w.set(false));
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Workers only ever run `run_item`, which catches
-                // item panics; a join failure here would mean the
-                // harness itself is broken.
-                parts.push(h.join().expect("isolated worker cannot panic"));
-            }
-        });
-        parts.into_iter().flatten().collect()
-    };
+    let mut results = Vec::with_capacity(n);
+    for wave in waves {
+        results.extend(pool_run(wave, n_threads, |i| {
+            run_item(&f, &items[i], i, max_attempts)
+        }));
+    }
 
     // Deterministic merge: results keyed by input index.
-    results.sort_by_key(|(i, _, _)| *i);
-    debug_assert_eq!(results.len(), n);
+    results.sort_by_key(|(i, _)| *i);
+    debug_assert!(results.iter().map(|(i, _)| *i).eq(0..n));
 
     let mut report = SweepReport {
         attempted: n,
@@ -247,7 +267,7 @@ where
     };
     cisa_obs::counter("sweep/items", n as u64);
     let mut out = Vec::with_capacity(n);
-    for (index, attempts, r) in results {
+    for (index, (attempts, r)) in results {
         cisa_obs::hist("sweep/attempts", u64::from(attempts));
         if attempts > 1 {
             report.retried += 1;
@@ -267,6 +287,18 @@ where
         }
     }
     (out, report)
+}
+
+/// Splits sweep items into two dispatch waves by dedup key: the first
+/// item of every key (and every item without a key) leads, every later
+/// item with an already-seen key follows. Both waves keep input order,
+/// so each key's lowest index runs before any of its duplicates, and
+/// together the waves are a permutation of `0..keys.len()`.
+fn leaders_first(keys: &[Option<u64>]) -> [Vec<usize>; 2] {
+    let mut seen = std::collections::HashSet::new();
+    let (leaders, followers) =
+        (0..keys.len()).partition(|&i| keys[i].is_none_or(|k| seen.insert(k)));
+    [leaders, followers]
 }
 
 /// Parallel map with deterministic output order: `out[i] == f(&items[i])`
@@ -312,11 +344,11 @@ pub struct SweepRunner {
     n_threads: usize,
     cache: Option<ProfileCache>,
     faults: Option<FaultPlan>,
-    /// In-process probe dedup, keyed by (phase fingerprint, codegen
-    /// fingerprint). Each cell is filled by exactly one probe;
-    /// concurrent requests for the same key block on the same
-    /// `OnceLock`, so the probe count stays deterministic at any
-    /// thread count.
+    /// In-process probe dedup, keyed by [`dedup_key`]. Each cell is
+    /// filled by exactly one probe, so the probe count stays
+    /// deterministic at any thread count. Grid sweeps dispatch every
+    /// key's first item in a wave before its duplicates, so a request
+    /// never finds its cell still being probed on the fault-free path.
     dedup: Mutex<HashMap<u64, Arc<OnceLock<PhaseProfile>>>>,
     /// Probes answered from an already-measured fingerprint.
     dedup_hits: AtomicU64,
@@ -377,17 +409,6 @@ impl SweepRunner {
         par_map(items, self.n_threads, f)
     }
 
-    /// Panic-isolated map on this runner's thread budget, with
-    /// [`MAX_ATTEMPTS`] tries per item. See [`par_map_isolated`].
-    pub fn map_reported<T, U, F>(&self, items: &[T], f: F) -> (Vec<Option<U>>, SweepReport)
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T, usize, u32) -> Result<U, String> + Sync,
-    {
-        par_map_isolated(items, self.n_threads, MAX_ATTEMPTS, f)
-    }
-
     /// Probes answered from the in-process dedup map instead of a full
     /// probe (two feature sets compiled a phase to identical code).
     pub fn dedup_hits(&self) -> u64 {
@@ -416,14 +437,13 @@ impl SweepRunner {
         }
         let code = compile(&generate(spec), &fs, &CompileOptions::default())
             .expect("generated phases always compile");
-        let key =
-            fnv1a(format!("{}|{:#x}", spec.fingerprint(), codegen_fingerprint(&code)).as_bytes());
         let cell = {
             let mut map = self.dedup.lock().expect("dedup map poisoned");
-            Arc::clone(map.entry(key).or_default())
+            Arc::clone(map.entry(dedup_key(spec, &code)).or_default())
         };
         // Exactly one caller per key runs the probe; a panicking probe
         // (fault injection) leaves the cell empty for the retry.
+        let pending = cell.get().is_none();
         let mut ran = false;
         let p = *cell.get_or_init(|| {
             ran = true;
@@ -432,6 +452,9 @@ impl SweepRunner {
         if !ran {
             self.dedup_hits.fetch_add(1, Ordering::Relaxed);
             cisa_obs::counter("probe/dedup_hit", 1);
+            if pending {
+                cisa_obs::counter("probe/dedup_wait", 1);
+            }
         }
         if let Some(cache) = &self.cache {
             cache.store(spec, fs, &p);
@@ -526,16 +549,77 @@ impl SweepRunner {
     /// Probes the full `phases` x `feature_sets` grid in parallel.
     /// Output is row-major (`grid[p * feature_sets.len() + f]`) and
     /// identical at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first probe panic, after every other pair has run.
     pub fn profile_grid(
         &self,
         phases: &[PhaseSpec],
         feature_sets: &[FeatureSet],
     ) -> Vec<PhaseProfile> {
-        let pairs: Vec<(usize, usize)> = (0..phases.len())
-            .flat_map(|p| (0..feature_sets.len()).map(move |f| (p, f)))
-            .collect();
-        self.map(&pairs, |&(p, f)| self.probe(&phases[p], feature_sets[f]))
+        let (out, report) = self.map_grid(phases, feature_sets, 1, |p, f, _, _| {
+            Ok(self.probe(&phases[p], feature_sets[f]))
+        });
+        if let Some(e) = report.failed.first() {
+            panic!("sweep worker must not panic: {e}");
+        }
+        out.into_iter().flatten().collect()
     }
+
+    /// Panic-isolated map over the row-major `phases` x `feature_sets`
+    /// grid that never lets a worker wait on another's probe: `f(p, f,
+    /// index, attempt)` runs with [`par_map_isolated`]'s retry, output
+    /// and report contract (`index = p * feature_sets.len() + f`), but
+    /// the first pair of every [`dedup_key`] runs in a wave before any
+    /// pair that shares its key.
+    ///
+    /// The keys come from a parallel pre-pass that compiles each pair
+    /// and keeps only the 64-bit key. Pairs the probe cache already
+    /// holds skip the pre-pass (a warm sweep compiles nothing) and
+    /// lead, as does a pair whose compile fails (its item then fails
+    /// in the sweep proper).
+    pub(crate) fn map_grid<U, F>(
+        &self,
+        phases: &[PhaseSpec],
+        feature_sets: &[FeatureSet],
+        max_attempts: u32,
+        f: F,
+    ) -> (Vec<Option<U>>, SweepReport)
+    where
+        U: Send,
+        F: Fn(usize, usize, usize, u32) -> Result<U, String> + Sync,
+    {
+        let n_fs = feature_sets.len();
+        let pairs: Vec<(usize, usize)> = (0..phases.len())
+            .flat_map(|p| (0..n_fs).map(move |f| (p, f)))
+            .collect();
+        let all: Vec<usize> = (0..pairs.len()).collect();
+        let mut keys = pool_run(&all, self.n_threads, |i| {
+            let _key = cisa_obs::root_span("sweep/dedup_key");
+            let (spec, fs) = (&phases[pairs[i].0], feature_sets[pairs[i].1]);
+            if self.cache.as_ref().is_some_and(|c| c.holds(spec, fs)) {
+                return None;
+            }
+            let code = compile(&generate(spec), &fs, &CompileOptions::default()).ok()?;
+            Some(dedup_key(spec, &code))
+        });
+        keys.sort_by_key(|(i, _)| *i);
+        let keys: Vec<Option<u64>> = keys.into_iter().map(|(_, k)| k).collect();
+        map_waves(
+            &pairs,
+            &leaders_first(&keys),
+            self.n_threads,
+            max_attempts,
+            |&(p, f_idx), index, attempt| f(p, f_idx, index, attempt),
+        )
+    }
+}
+
+/// The in-process dedup key of one probe: the probe is a pure function
+/// of the phase spec and the compiled code.
+fn dedup_key(spec: &PhaseSpec, code: &CompiledCode) -> u64 {
+    fnv1a(format!("{}|{:#x}", spec.fingerprint(), codegen_fingerprint(code)).as_bytes())
 }
 
 impl Default for SweepRunner {
@@ -653,6 +737,66 @@ mod tests {
         assert!(report.failed[0].message.contains("hard fault"));
         assert!(out[2].is_none());
         assert_eq!(out.iter().flatten().count(), 5);
+    }
+
+    #[test]
+    fn leaders_run_before_their_duplicates() {
+        let keys = [
+            Some(7),
+            Some(7),
+            None,
+            Some(3),
+            Some(7),
+            None,
+            Some(3),
+            Some(9),
+        ];
+        let [leaders, followers] = leaders_first(&keys);
+        assert_eq!(leaders, vec![0, 2, 3, 5, 7]);
+        assert_eq!(followers, vec![1, 4, 6]);
+
+        // Generated keys: a permutation in which each key's lowest
+        // index comes before every other index with that key.
+        let keys: Vec<Option<u64>> = (0..500u64)
+            .map(|i| (i % 11 != 0).then_some((i * 2_654_435_761) % 37))
+            .collect();
+        let order: Vec<usize> = leaders_first(&keys).concat();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..keys.len()).collect::<Vec<_>>());
+        let position = |i: usize| order.iter().position(|&o| o == i).unwrap();
+        for (i, key) in keys.iter().enumerate() {
+            let Some(key) = key else { continue };
+            let lowest = keys.iter().position(|k| *k == Some(*key)).unwrap();
+            assert!(
+                position(lowest) <= position(i),
+                "item {i} ran before {lowest}"
+            );
+        }
+    }
+
+    #[test]
+    fn waves_keep_index_order_and_report_by_index() {
+        let items: Vec<u32> = (0..40).collect();
+        let waves = [
+            vec![39, 0, 17, 5],
+            (1..39).filter(|i| ![5, 17].contains(i)).collect(),
+        ];
+        for t in [1, 3] {
+            let (out, report) = map_waves(&items, &waves, t, 2, |&x, index, _| {
+                assert_eq!(x as usize, index);
+                if x == 17 {
+                    Err("bad".to_string())
+                } else {
+                    Ok(x * 2)
+                }
+            });
+            assert_eq!(report.failed_indices(), vec![17], "{t} threads");
+            assert_eq!(report.attempted, items.len());
+            for (i, o) in out.iter().enumerate() {
+                assert_eq!(*o, (i != 17).then_some(i as u32 * 2), "{t} threads");
+            }
+        }
     }
 
     #[test]

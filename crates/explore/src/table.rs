@@ -26,7 +26,7 @@ use cisa_workloads::{all_phases, PhaseSpec};
 
 use crate::interval::{evaluate, evaluate_block, PhasePerf};
 use crate::profile::PhaseProfile;
-use crate::runner::{SweepReport, SweepRunner};
+use crate::runner::{SweepReport, SweepRunner, MAX_ATTEMPTS};
 use crate::space::{DesignId, DesignSpace};
 
 /// One (phase, feature-set) cell of the fill: 180 composite entries
@@ -147,19 +147,15 @@ impl PerfTable {
         phases: &[PhaseSpec],
         runner: &SweepRunner,
     ) -> (Self, SweepReport) {
-        let n_fs = space.feature_sets.len();
         // One task per (phase, feature set) cell, row-major so the
         // merged output lands in table order. Vendor ISAs are derived
         // from their x86-ized probes inside the cell fill.
-        let pairs: Vec<(usize, usize)> = (0..phases.len())
-            .flat_map(|pi| (0..n_fs).map(move |fi| (pi, fi)))
-            .collect();
-        let (cells, report) = runner.map_reported(&pairs, |&(pi, fi), index, attempt| {
-            let spec = &phases[pi];
-            let fs = space.feature_sets[fi];
-            let prof = runner.probe_checked(spec, fs, index, attempt)?;
-            Ok(evaluate_cell(space, fi, &prof))
-        });
+        let fss = &space.feature_sets;
+        let (cells, report) =
+            runner.map_grid(phases, fss, MAX_ATTEMPTS, |pi, fi, index, attempt| {
+                let prof = runner.probe_checked(&phases[pi], fss[fi], index, attempt)?;
+                Ok(evaluate_cell(space, fi, &prof))
+            });
 
         (Self::assemble(space, phases, cells), report)
     }

@@ -47,7 +47,10 @@ fn metric_snapshots_are_byte_identical_across_thread_counts() {
     let n_items = (phases.len() * DesignSpace::new().feature_sets.len()) as u64;
     assert_eq!(serial.counter("sweep/items"), n_items);
     assert_eq!(serial.span_count("sweep/item"), n_items);
-    assert_eq!(serial.counter("compile/functions"), n_items);
+    // Each pair compiles twice: once in the pre-pass that computes its
+    // codegen-dedup key, once in the sweep item itself.
+    assert_eq!(serial.span_count("sweep/dedup_key"), n_items);
+    assert_eq!(serial.counter("compile/functions"), 2 * n_items);
     assert!(
         serial.counter("sim/runs") > 0,
         "probes must reach the simulator"
@@ -59,6 +62,10 @@ fn metric_snapshots_are_byte_identical_across_thread_counts() {
         serial.span_count("sweep/item/probe") + serial.counter("probe/dedup_hit"),
         n_items
     );
+    // Every key's first pair runs in an earlier wave than its
+    // duplicates, so no dedup hit finds its probe still running.
+    assert!(serial.counter("probe/dedup_hit") > 0);
+    assert_eq!(parallel.counter("probe/dedup_wait"), 0);
 }
 
 #[test]

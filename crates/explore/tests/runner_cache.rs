@@ -65,6 +65,40 @@ fn parallel_table_build_is_bit_identical_to_serial() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Dispatching each codegen key's first pair before its duplicates
+/// must not change what is probed, what is deduped, or the table, at
+/// any worker count.
+#[test]
+fn probe_and_dedup_counts_do_not_depend_on_worker_count() {
+    let _guard = PROBE_COUNTER.lock().unwrap();
+    let phases: Vec<_> = all_phases().into_iter().take(3).collect();
+    let space = DesignSpace::new();
+    let run = |workers: usize| {
+        let runner = SweepRunner::new(workers);
+        let before = probes_run();
+        let (table, report) = PerfTable::build_for_phases_reported(&space, &phases, &runner);
+        assert!(report.is_clean(), "{}", report.summary());
+        let dir = scratch(&format!("dedup-counts-{workers}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        table.save(&dir.join("table.bin")).unwrap();
+        let bytes = std::fs::read(dir.join("table.bin")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (probes_run() - before, runner.dedup_hits(), bytes)
+    };
+    let serial = run(1);
+    assert!(serial.1 > 0, "the fixture must share some codegen");
+    assert_eq!(
+        serial.0 + serial.1,
+        (phases.len() * space.feature_sets.len()) as u64
+    );
+    for workers in [2, 4] {
+        let parallel = run(workers);
+        assert_eq!(parallel.0, serial.0, "probes_run at {workers} workers");
+        assert_eq!(parallel.1, serial.1, "dedup_hits at {workers} workers");
+        assert!(parallel.2 == serial.2, "table bytes at {workers} workers");
+    }
+}
+
 #[test]
 fn warm_cache_rerun_does_zero_probes() {
     let _guard = PROBE_COUNTER.lock().unwrap();

@@ -4,8 +4,11 @@
 /// One set-associative cache with LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// `sets[set][way] = (tag, stamp)`.
-    sets: Vec<Vec<(u64, u64)>>,
+    /// `lines[set * ways + way] = (tag, stamp)`; only the first
+    /// `filled[set]` ways of a set hold lines.
+    lines: Vec<(u64, u64)>,
+    /// Ways filled so far, per set (a set fills in way order).
+    filled: Vec<u32>,
     ways: usize,
     line_bytes: u64,
     set_shift: u32,
@@ -29,7 +32,8 @@ impl Cache {
         let n_sets = (size_bytes / line_bytes / ways as u64).max(1);
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         Cache {
-            sets: vec![Vec::with_capacity(ways as usize); n_sets as usize],
+            lines: vec![(0, 0); (n_sets * ways as u64) as usize],
+            filled: vec![0; n_sets as usize],
             ways: ways as usize,
             line_bytes,
             set_shift: line_bytes.trailing_zeros(),
@@ -48,14 +52,16 @@ impl Cache {
         let set_idx = (line & self.set_mask) as usize;
         let tag = line >> self.set_mask.count_ones();
         let stamp = self.stamp;
-        let set = &mut self.sets[set_idx];
-        if let Some(e) = set.iter_mut().find(|e| e.0 == tag) {
+        let filled = self.filled[set_idx] as usize;
+        let set = &mut self.lines[set_idx * self.ways..(set_idx + 1) * self.ways];
+        if let Some(e) = set[..filled].iter_mut().find(|e| e.0 == tag) {
             e.1 = stamp;
             return true;
         }
         self.misses += 1;
-        if set.len() < self.ways {
-            set.push((tag, stamp));
+        if filled < self.ways {
+            set[filled] = (tag, stamp);
+            self.filled[set_idx] += 1;
         } else {
             *set.iter_mut().min_by_key(|e| e.1).expect("set non-empty") = (tag, stamp);
         }
@@ -288,7 +294,8 @@ mod tests {
     fn geometry_is_power_of_two() {
         let c = Cache::new(64 * 1024, 4);
         assert_eq!(c.line_bytes(), 64);
-        assert_eq!(c.sets.len(), 256);
+        assert_eq!(c.filled.len(), 256);
+        assert_eq!(c.lines.len(), 256 * 4);
     }
 
     #[test]
