@@ -1164,48 +1164,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod debug_tests {
-    use super::*;
-    use crate::table::PerfTable;
-    use cisa_workloads::all_phases;
-
-    #[test]
-    fn debug_search_none() {
-        let space = DesignSpace::new();
-        let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index == 0).collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
-        let eval = Evaluator::new(&space, &table, 8);
-        let cands: Vec<CoreChoice> = space.ids().map(CoreChoice::Composite).collect();
-        let min_power = cands
-            .iter()
-            .map(|c| eval.budget(c).1)
-            .fold(f64::INFINITY, f64::min);
-        println!("min core power: {min_power}");
-        let pool: Vec<_> = cands
-            .iter()
-            .filter(|c| eval.budget(c).1 + 3.0 * min_power <= 40.0)
-            .collect();
-        println!("pool size at 40W: {}", pool.len());
-        let cheapest = cands
-            .iter()
-            .min_by(|a, b| eval.budget(a).1.partial_cmp(&eval.budget(b).1).unwrap())
-            .unwrap();
-        let cores = [*cheapest; 4];
-        println!(
-            "cheapest x4 feasible: {}",
-            eval.feasible(&cores, Budget::PeakPower(40.0), Objective::Throughput)
-        );
-        println!("score: {}", eval.score(&cores, Objective::Throughput));
-        println!(
-            "n_phases {} bench_phases {:?}",
-            table.n_phases,
-            eval.bench_phases.len()
-        );
-        println!("combos: {:?}", eval.combos);
-    }
-}
-
-#[cfg(test)]
 mod oracle_tests {
     use super::*;
     use crate::table::PerfTable;

@@ -28,17 +28,29 @@
 //! The shard keeps its idle cores in a list sorted by core index,
 //! updated when a segment starts or completes. At every arrival and
 //! segment completion it runs a dispatch pass over up to
-//! `DISPATCH_WINDOW` (8) queued threads (FIFO order). For
-//! each thread it walks the idle list once: every core whose chip
-//! lacks headroom for it counts one `cap_blocked`; a thread bound at
-//! arrival skips every other core; each remaining core becomes a
-//! [`Candidate`] priced by [`SchedulerPolicy::cost`], and the cheapest
-//! wins (ties go to the lowest core index). Each placement restarts
-//! the pass (power headroom changed); the pass ends when no queued
-//! thread in the window can be placed.
+//! `DISPATCH_WINDOW` (8) queued threads (FIFO order).
+//!
+//! Whether an idle core has headroom (`active_mw + peak_mw <= cap_mw`)
+//! depends only on the core and its chip, never on the thread looking.
+//! So each chip keeps a count of its idle cores without headroom, and
+//! the shard keeps their total. A chip is recounted only where its
+//! `active_mw` or idle set changes — when a segment starts or completes
+//! on it — and every chip once at shard start, which covers a core
+//! whose peak alone exceeds its chip's cap. Every look by a queued
+//! thread, bound or not, adds that total to `cap_blocked`.
+//!
+//! A thread bound at arrival is offered only its bound core, and only
+//! when that core is idle with headroom: its look costs O(1). An
+//! unbound thread walks the idle list, skipping cores without headroom.
+//! Each offered core becomes a [`Candidate`] priced by
+//! [`SchedulerPolicy::cost`], and the cheapest wins (ties go to the
+//! lowest core index). Each placement restarts the pass (power headroom
+//! changed); the pass ends when no queued thread in the window can be
+//! placed.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 use cisa_explore::SweepRunner;
 use cisa_power::{CLOCK_HZ, IDLE_POWER_FRACTION};
@@ -175,6 +187,9 @@ impl Ord for Event {
 struct Thr {
     workload: Workload,
     segments: Vec<f64>,
+    /// Work left in `segments[seg_idx..]`, re-summed left to right at
+    /// arrival and at each segment completion.
+    remaining: f64,
     arrival: f64,
     ready_since: f64,
     seg_idx: u32,
@@ -191,6 +206,7 @@ struct CoreSt {
     chip: u32,
     peak_mw: u64,
     busy_cycles: f64,
+    idle: bool,
 }
 
 /// Per-chip simulation state (power in exact integer milliwatts).
@@ -199,6 +215,10 @@ struct ChipSt {
     cap_mw: u64,
     active_mw: u64,
     max_mw: u64,
+    /// The chip's cores, a contiguous run of shard core indices.
+    cores: Range<u32>,
+    /// Idle cores of this chip without headroom.
+    blocked_idle: u64,
 }
 
 /// Everything one shard reports back for the deterministic merge.
@@ -250,6 +270,8 @@ struct Shard<'a> {
     now: f64,
     /// Cores with no thread, in ascending index order.
     idle_cores: Vec<u32>,
+    /// Sum of the chips' `blocked_idle`.
+    blocked_idle: u64,
     stats: ShardStats,
 }
 
@@ -275,22 +297,25 @@ impl<'a> Shard<'a> {
             }
             let design = &spec.chip_designs[cd as usize];
             let chip_idx = chips.len() as u32;
-            chips.push(ChipSt {
-                cap_mw: mw(design.cap_w),
-                active_mw: 0,
-                max_mw: 0,
-            });
+            let first = cores.len() as u32;
             for &c in &design.cores {
                 cores.push(CoreSt {
                     design: c,
                     chip: chip_idx,
                     peak_mw: mw(spec.core_designs[c as usize].peak_w),
                     busy_cycles: 0.0,
+                    idle: false,
                 });
             }
+            chips.push(ChipSt {
+                cap_mw: mw(design.cap_w),
+                active_mw: 0,
+                max_mw: 0,
+                cores: first..cores.len() as u32,
+                blocked_idle: 0,
+            });
         }
-        let idle_cores = (0..cores.len() as u32).collect();
-        Shard {
+        let mut shard = Shard {
             spec,
             mm,
             policy,
@@ -302,7 +327,8 @@ impl<'a> Shard<'a> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: 0.0,
-            idle_cores,
+            idle_cores: Vec::new(),
+            blocked_idle: 0,
             stats: ShardStats {
                 arrivals: 0,
                 completed: 0,
@@ -318,7 +344,55 @@ impl<'a> Shard<'a> {
                 makespan: 0.0,
                 max_cap_utilization: 0.0,
             },
+        };
+        // Every core starts idle. Chips join the idle list one at a time
+        // and are counted as they join, so the shard total is exact
+        // after every recount.
+        for chip in 0..shard.chips.len() as u32 {
+            let cores = shard.chips[chip as usize].cores.clone();
+            for c in cores.clone() {
+                shard.cores[c as usize].idle = true;
+            }
+            shard.idle_cores.extend(cores);
+            shard.recount_blocked(chip);
         }
+        shard
+    }
+
+    /// Whether the core's chip can start it now without exceeding the
+    /// cap.
+    fn has_headroom(&self, core_idx: u32) -> bool {
+        let core = &self.cores[core_idx as usize];
+        let chip = &self.chips[core.chip as usize];
+        chip.active_mw + core.peak_mw <= chip.cap_mw
+    }
+
+    /// Recounts one chip's idle cores without headroom and updates the
+    /// shard total. Called wherever the chip's `active_mw` or idle set
+    /// changes.
+    fn recount_blocked(&mut self, chip_idx: u32) {
+        let blocked = self.chips[chip_idx as usize]
+            .cores
+            .clone()
+            .filter(|&c| self.cores[c as usize].idle && !self.has_headroom(c))
+            .count() as u64;
+        let chip = &mut self.chips[chip_idx as usize];
+        self.blocked_idle = self.blocked_idle - chip.blocked_idle + blocked;
+        chip.blocked_idle = blocked;
+        debug_assert_eq!(
+            self.blocked_idle,
+            self.blocked_idle_walk(),
+            "blocked-idle count after recounting chip {chip_idx}"
+        );
+    }
+
+    /// Idle cores without headroom, counted by a walk of the idle list:
+    /// the oracle for `blocked_idle` in debug builds.
+    fn blocked_idle_walk(&self) -> u64 {
+        self.idle_cores
+            .iter()
+            .filter(|&&c| !self.has_headroom(c))
+            .count() as u64
     }
 
     /// Cores that can ever run a thread alone under their chip's cap
@@ -351,19 +425,26 @@ impl<'a> Shard<'a> {
     /// keep it queued. Every idle core without cap headroom counts one
     /// `cap_blocked`, whether or not the thread could have taken it.
     fn consider(&mut self, tid: u32) -> Option<Candidate> {
+        debug_assert_eq!(
+            self.blocked_idle,
+            self.blocked_idle_walk(),
+            "blocked-idle count read by a look"
+        );
+        self.stats.cap_blocked += self.blocked_idle;
         let thr = &self.threads[tid as usize];
-        let remaining: f64 = thr.segments[thr.seg_idx as usize..].iter().sum();
+        // A bound thread is offered its own core alone, and only while
+        // that core is idle.
+        let offers: &[u32] = match &thr.bound {
+            Some(b) if self.cores[*b as usize].idle => std::slice::from_ref(b),
+            Some(_) => &[],
+            None => &self.idle_cores,
+        };
         let mut best: Option<(Candidate, f64)> = None;
-        for &core_idx in &self.idle_cores {
+        for &core_idx in offers {
+            if !self.has_headroom(core_idx) {
+                continue;
+            }
             let core = &self.cores[core_idx as usize];
-            let chip = &self.chips[core.chip as usize];
-            if chip.active_mw + core.peak_mw > chip.cap_mw {
-                self.stats.cap_blocked += 1;
-                continue;
-            }
-            if thr.bound.is_some_and(|b| b != core_idx) {
-                continue;
-            }
             let design = &self.spec.core_designs[core.design as usize];
             let (mig_class, mig_cycles) = if thr.last_core.is_none_or(|c| c == core_idx) {
                 (None, 0.0)
@@ -382,7 +463,7 @@ impl<'a> Shard<'a> {
                 mig_class,
                 mig_cycles,
             };
-            let cost = self.policy.cost(remaining, &cand);
+            let cost = self.policy.cost(thr.remaining, &cand);
             if best.is_none_or(|(_, b)| cost < b) {
                 best = Some((cand, cost));
             }
@@ -420,9 +501,12 @@ impl<'a> Shard<'a> {
         debug_assert_eq!(taken, cand.core, "placed on an idle core");
         let core = &mut self.cores[cand.core as usize];
         core.busy_cycles += service;
-        let chip = &mut self.chips[core.chip as usize];
+        core.idle = false;
+        let chip_idx = core.chip;
+        let chip = &mut self.chips[chip_idx as usize];
         chip.active_mw += core.peak_mw;
         chip.max_mw = chip.max_mw.max(chip.active_mw);
+        self.recount_blocked(chip_idx);
         self.seq += 1;
         self.heap.push(Event {
             time: self.now + service,
@@ -434,11 +518,13 @@ impl<'a> Shard<'a> {
 
     /// Processes one segment completion.
     fn complete_segment(&mut self, ev: Event) {
-        let core = &self.cores[ev.core as usize];
-        let chip = &mut self.chips[core.chip as usize];
-        chip.active_mw -= core.peak_mw;
+        let core = &mut self.cores[ev.core as usize];
+        core.idle = true;
+        let chip_idx = core.chip;
+        self.chips[chip_idx as usize].active_mw -= core.peak_mw;
         let idle_at = self.idle_cores.partition_point(|&c| c < ev.core);
         self.idle_cores.insert(idle_at, ev.core);
+        self.recount_blocked(chip_idx);
         let thr = &mut self.threads[ev.thread as usize];
         let work = thr.segments[thr.seg_idx as usize];
         self.stats.work_executed += work;
@@ -457,6 +543,7 @@ impl<'a> Shard<'a> {
             // are dense) but costs only the struct itself.
             thr.segments = Vec::new();
         } else {
+            thr.remaining = thr.segments[thr.seg_idx as usize..].iter().sum();
             thr.ready_since = self.now;
             self.ready.push_back(ev.thread);
         }
@@ -501,6 +588,7 @@ impl<'a> Shard<'a> {
                 let tid = self.threads.len() as u32;
                 self.threads.push(Thr {
                     workload: spec.workload,
+                    remaining: spec.segments.iter().sum(),
                     segments: spec.segments,
                     arrival: spec.arrival_cycles,
                     ready_since: spec.arrival_cycles,

@@ -1,4 +1,5 @@
-//! The engine's placement search, on a hand-built one-chip fleet.
+//! The engine's placement search, on hand-built one- and three-chip
+//! fleets.
 //!
 //! A policy only prices one core; the engine owns the rest. These
 //! tests drive `simulate_shard` with scripted policies to pin the three
@@ -144,6 +145,40 @@ fn cap_blocked_counts_every_idle_core_without_headroom() {
     assert!(bound.cap_blocked > 0);
     assert_eq!(bound.cap_blocked % 3, 0, "three blocked cores per look");
     assert_eq!(bound, unbound, "bound and unbound threads count alike");
+}
+
+#[test]
+fn cap_blocked_sums_blocked_idle_cores_over_every_chip() {
+    // Three chips of four 5 W cores: chip 0 fits one core at a time,
+    // chips 1 and 2 fit none even alone. Only core 0 ever runs, so
+    // every look counts chips 1 and 2's eight cores, plus chip 0's
+    // other three while core 0 is busy.
+    let one = one_chip([1.0; 4], 5.0);
+    let mut spec = one.clone();
+    spec.chip_designs = [5.0, 4.0, 2.5]
+        .iter()
+        .map(|&cap_w| ChipDesign {
+            cap_w,
+            ..one.chip_designs[0].clone()
+        })
+        .collect();
+    spec.chips = vec![0, 1, 2];
+    let bound = run(&spec, &Scripted::new(true, flat));
+    let unbound = run(&spec, &Scripted::new(false, lowest_index));
+    assert_eq!(bound, unbound, "bound and unbound threads count alike");
+    // The lone chip at the same load runs the same schedule and counts
+    // only chip 0's three; the other two chips add eight per look.
+    let alone = run(&one, &Scripted::new(true, flat));
+    assert_eq!(
+        alone.response_cycles, bound.response_cycles,
+        "same schedule"
+    );
+    assert!(bound.cap_blocked > alone.cap_blocked);
+    assert_eq!(
+        (bound.cap_blocked - alone.cap_blocked) % 8,
+        0,
+        "eight cores blocked alone per look"
+    );
 }
 
 #[test]

@@ -35,19 +35,6 @@ impl RiscvHost {
         RiscvHost { compressed: false }
     }
 
-    /// Whether a feature set is expressible on this host.
-    ///
-    /// RISC-V base encodings have 5-bit register fields, so depth 64
-    /// needs a (hypothetical) extended-register prefix word; we allow it
-    /// but it costs a full extra 4-byte parcel (see
-    /// [`encoded_len`](Self::encoded_len)). Memory-operand compute forms
-    /// (x86 complexity) do not exist: RISC-V is load-store, so full
-    /// `Complexity::X86` feature sets lower every folded form back into
-    /// load-compute-store when re-hosted.
-    pub fn supports(&self, _fs: &FeatureSet) -> bool {
-        true
-    }
-
     /// Whether an instruction qualifies for a 2-byte compressed
     /// encoding: register-to-register ALU or short loads/stores using
     /// the 8 most popular registers, unpredicated, not wide-immediate.

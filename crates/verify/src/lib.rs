@@ -14,10 +14,11 @@
 //! - [`verify_phase`] compiles one workload phase for one feature set
 //!   with [`VerifyLevel::Full`] and then checks emulation against every
 //!   migration target.
-//! - [`verify_suite`] sweeps phases × feature sets and aggregates a
-//!   [`VerifyReport`]; the `verify_all` binary runs it over all 49
-//!   workload phases × 26 feature sets and exits nonzero on any
-//!   diagnostic (the CI `verify` job).
+//!
+//! The `verify_all` binary runs [`verify_phase`] over all 49 workload
+//! phases × 26 feature sets, in parallel over phases, with all 26 as
+//! migration targets, and exits nonzero on any diagnostic (the CI
+//! `verify` job).
 //!
 //! Every rule here and in [`cisa_compiler::verify::RULES`] has a
 //! dedicated firing test in `tests/mutation_rules.rs`.
@@ -200,44 +201,6 @@ pub fn verify_phase(spec: &PhaseSpec, fs: &FeatureSet, targets: &[FeatureSet]) -
     }
 }
 
-/// The aggregate outcome of a suite pre-flight.
-#[derive(Debug, Clone, Default)]
-pub struct VerifyReport {
-    /// Workload phases checked.
-    pub phases: usize,
-    /// Feature sets each phase was compiled for.
-    pub feature_sets: usize,
-    /// (compiled-for, migration-target) pairs emulated and checked.
-    pub migration_pairs: usize,
-    /// Every diagnostic found, in phase × feature-set order.
-    pub errors: Vec<VerifyError>,
-}
-
-impl VerifyReport {
-    /// Whether the whole suite verified clean.
-    pub fn ok(&self) -> bool {
-        self.errors.is_empty()
-    }
-}
-
-/// Verifies every phase × feature-set combination, using the same
-/// feature sets as migration targets. The `verify_all` binary (and the
-/// CI `verify` job) runs this over all phases and all 26 feature sets.
-pub fn verify_suite(phases: &[PhaseSpec], feature_sets: &[FeatureSet]) -> VerifyReport {
-    let mut report = VerifyReport {
-        phases: phases.len(),
-        feature_sets: feature_sets.len(),
-        ..Default::default()
-    };
-    for spec in phases {
-        for fs in feature_sets {
-            report.migration_pairs += feature_sets.len();
-            report.errors.extend(verify_phase(spec, fs, feature_sets));
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,13 +208,17 @@ mod tests {
 
     #[test]
     fn one_phase_verifies_clean_across_all_feature_sets() {
-        let phases = all_phases();
+        let spec = &all_phases()[0];
         let all = FeatureSet::all();
-        let report = verify_suite(&phases[..1], &all);
-        assert_eq!(report.phases, 1);
-        assert_eq!(report.feature_sets, 26);
-        assert_eq!(report.migration_pairs, 26 * 26);
-        assert!(report.ok(), "diagnostics: {:#?}", report.errors);
+        assert_eq!(all.len(), 26);
+        let mut migration_pairs = 0;
+        let mut errors = Vec::new();
+        for fs in &all {
+            migration_pairs += all.len();
+            errors.extend(verify_phase(spec, fs, &all));
+        }
+        assert_eq!(migration_pairs, 26 * 26);
+        assert!(errors.is_empty(), "diagnostics: {errors:#?}");
     }
 
     #[test]
